@@ -21,7 +21,6 @@ int main() {
   const Axis axes[] = {
       {"-pipeline", [](mpc::PartyOptions& o) { o.use_pipeline = false; }},
       {"-compression", [](mpc::PartyOptions& o) { o.use_compression = false; }},
-      {"-tensor-core", [](mpc::PartyOptions& o) { o.use_tensor_core = false; }},
       {"-eq8-fusion", [](mpc::PartyOptions& o) { o.fuse_eq8 = false; }},
       {"-cpu-parallel", [](mpc::PartyOptions& o) { o.cpu_parallel = false; }},
       {"-adaptive", [](mpc::PartyOptions& o) { o.adaptive = false; }},

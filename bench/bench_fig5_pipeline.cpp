@@ -65,9 +65,9 @@ MatrixF hand_compute_ci_gpu(mpc::PartyContext& ctx, const MatrixF& e,
   comp.wait_event(e_ea);
   sgpu::axpby_async(dev, comp, neg_i, de, da, dd);  // D = (-i) E + A_i
   comp.wait_event(e_f);
-  sgpu::gemm_async(dev, comp, dd, df, dc, 1.0f, 0.0f, false);  // C = D x F
+  sgpu::gemm_async(dev, comp, dd, df, dc, 1.0f, 0.0f);  // C = D x F
   comp.wait_event(e_b);
-  sgpu::gemm_async(dev, comp, de, db, dc, 1.0f, 1.0f, false);  // C += E x B_i
+  sgpu::gemm_async(dev, comp, de, db, dc, 1.0f, 1.0f);  // C += E x B_i
   comp.wait_event(e_z);
   sgpu::add_inplace_async(dev, comp, dz, dc);  // C += Z_i
 
@@ -81,8 +81,7 @@ enum class Mode { kSerial, kHand, kEngine };
 
 mpc::PartyOptions mode_opts(Mode mode) {
   mpc::PartyOptions opts = mpc::PartyOptions::parsecureml();
-  opts.adaptive = false;         // always on the device
-  opts.use_tensor_core = false;  // isolate the transfer/compute overlap
+  opts.adaptive = false;  // always on the device
   opts.use_pipeline = mode != Mode::kSerial;
   opts.use_compression = false;
   return opts;

@@ -1,4 +1,4 @@
-// Microbenchmarks (google-benchmark): GEMM kernel tiers, Tensor-Core path,
+// Microbenchmarks (google-benchmark): GEMM kernel tiers, device GEMM,
 // RNG engines, CSR codec, channel throughput.
 //
 // Besides the google-benchmark suites, this binary owns the machine-readable
@@ -321,16 +321,12 @@ void BM_DeviceGemm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const MatrixF a = rand_mat(n, n, 1), b = rand_mat(n, n, 2);
   for (auto _ : state) {
-    auto c = sgpu::device_matmul(a, b, state.range(1) != 0);
+    auto c = sgpu::device_matmul(a, b);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_DeviceGemm)
-    ->Args({128, 0})
-    ->Args({128, 1})
-    ->Args({512, 0})
-    ->Args({512, 1});
+BENCHMARK(BM_DeviceGemm)->Arg(128)->Arg(512);
 
 void BM_RngMt19937Serial(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -5,8 +5,8 @@
 //
 //   psml_cli --model=mlp --dataset=mnist --mode=parsecureml
 //            --samples=256 --batch=128 --epochs=4 --lr=0.05
-//            [--no-pipeline --no-compression --no-tensor-core --no-gpu
-//             --no-adaptive --no-cpu-parallel --no-eq8]
+//            [--no-pipeline --no-compression --no-gpu --no-adaptive
+//             --no-cpu-parallel --no-eq8]
 //            [--infer] [--trace=run.json] [--save=model.bin] [--seed=N]
 //
 // Run with --help for the full list.
@@ -79,8 +79,8 @@ void usage() {
       "  --infer            run secure inference instead of training\n"
       "  --no-evaluate      skip the post-run accuracy evaluation\n"
       "optimization toggles (switch mode to custom):\n"
-      "  --no-gpu --no-pipeline --no-compression --no-tensor-core\n"
-      "  --no-cpu-parallel --no-adaptive --no-eq8\n"
+      "  --no-gpu --no-pipeline --no-compression --no-cpu-parallel\n"
+      "  --no-adaptive --no-eq8\n"
       "  --compression-threshold=F  (default 0.75)\n"
       "outputs:\n"
       "  --trace=FILE.json  chrome://tracing timeline of the device\n"
@@ -143,9 +143,9 @@ int main(int argc, char** argv) {
 
   // Any optimization toggle moves the run into custom mode.
   const char* toggles[] = {"no-gpu",          "no-pipeline",
-                           "no-compression",  "no-tensor-core",
-                           "no-cpu-parallel", "no-adaptive",
-                           "no-eq8",          "compression-threshold"};
+                           "no-compression",  "no-cpu-parallel",
+                           "no-adaptive",     "no-eq8",
+                           "compression-threshold"};
   bool custom = false;
   for (const char* t : toggles) custom = custom || args.has(t);
   if (custom) {
@@ -156,7 +156,6 @@ int main(int argc, char** argv) {
     }
     if (args.has("no-pipeline")) cfg.custom_opts.use_pipeline = false;
     if (args.has("no-compression")) cfg.custom_opts.use_compression = false;
-    if (args.has("no-tensor-core")) cfg.custom_opts.use_tensor_core = false;
     if (args.has("no-cpu-parallel")) cfg.custom_opts.cpu_parallel = false;
     if (args.has("no-adaptive")) cfg.custom_opts.adaptive = false;
     if (args.has("no-eq8")) cfg.custom_opts.fuse_eq8 = false;

@@ -29,7 +29,6 @@ namespace psml::mpc {
 struct PartyOptions {
   bool use_gpu = true;          // online Eq. 8 on the device
   bool use_pipeline = true;     // overlap H2D transfers with kernels (Fig. 5)
-  bool use_tensor_core = true;  // FP16 fast-path GEMM (Sec. 5.2)
   bool use_compression = true;  // delta-CSR E/F exchange (Sec. 4.4)
   double compression_threshold = 0.75;  // min zero fraction for CSR deltas
   bool fuse_eq8 = true;         // Eq. 8 fused form vs Eq. 6 three-product form
@@ -48,7 +47,6 @@ struct PartyOptions {
     PartyOptions o;
     o.use_gpu = false;
     o.use_pipeline = false;
-    o.use_tensor_core = false;
     o.use_compression = false;
     o.fuse_eq8 = false;
     o.cpu_parallel = false;

@@ -63,7 +63,7 @@ MatrixU64 ring_matmul(const MatrixU64& a, const MatrixU64& b) {
   g.b_cs = 1;
   g.c = c.data();
   g.ldc = n;
-  g.parallel = m * n * k >= (std::size_t{1} << 18);
+  g.pool = tensor::detail::partition_pool(ThreadPool::global(), m, n, k);
   tensor::detail::gemm_u64_auto(g);
   return c;
 }

@@ -122,13 +122,6 @@ MatrixF compute_ci_gpu(PartyContext& ctx, const MatrixF& e, const MatrixF& f,
   auto& dev = ctx.device();
   const auto& o = ctx.options();
   const float neg_i = -static_cast<float>(ctx.id());
-  // The fp16 path's win (halved operand traffic) only materializes on large
-  // GEMMs; below the crossover the quantization pass dominates (Fig. 15
-  // kernel sweep), so gate it by problem size.
-  const double flops =
-      2.0 * static_cast<double>(a_i.rows()) * b_i.cols() * a_i.cols();
-  const bool tc =
-      o.use_tensor_core && flops >= static_cast<double>(1 << 24);
 
   sgpu::Stream& copy = o.use_pipeline ? ctx.copy_stream() : ctx.compute_stream();
   sgpu::Stream& comp = ctx.compute_stream();
@@ -170,10 +163,10 @@ MatrixF compute_ci_gpu(PartyContext& ctx, const MatrixF& e, const MatrixF& f,
   eng.push([&, neg_i] { sgpu::axpby_async(dev, comp, neg_i, de, da, dd); },
            {ve, va}, {vd}, Exec::on_stream(comp), "ci.axpby");
   // C = D x F
-  eng.push([&, tc] { sgpu::gemm_async(dev, comp, dd, df, dc, 1.0f, 0.0f, tc); },
+  eng.push([&] { sgpu::gemm_async(dev, comp, dd, df, dc, 1.0f, 0.0f); },
            {vd, vf}, {vc}, Exec::on_stream(comp), "ci.gemm1");
   // C += E x B_i
-  eng.push([&, tc] { sgpu::gemm_async(dev, comp, de, db, dc, 1.0f, 1.0f, tc); },
+  eng.push([&] { sgpu::gemm_async(dev, comp, de, db, dc, 1.0f, 1.0f); },
            {ve, vb}, {vc}, Exec::on_stream(comp), "ci.gemm2");
   // C += Z_i
   eng.push([&] { sgpu::add_inplace_async(dev, comp, dz, dc); }, {vz}, {vc},

@@ -37,6 +37,19 @@ MatrixHeader read_header(const std::uint8_t* data, std::size_t size) {
   return h;
 }
 
+// Checks a dense body against the header's rows x cols before anything is
+// allocated, so a forged header cannot size an allocation. Overflow-safe:
+// rows x cols of two u32 fields fits in u64, and the body is divided by the
+// element size rather than the count multiplied by it.
+template <typename T>
+void check_dense_body(const MatrixHeader& h, std::size_t body_size,
+                      const char* what) {
+  const std::uint64_t elems = std::uint64_t{h.rows} * h.cols;
+  if (body_size % sizeof(T) != 0 || body_size / sizeof(T) != elems) {
+    throw ProtocolError(what);
+  }
+}
+
 }  // namespace
 
 namespace {
@@ -103,10 +116,9 @@ MatrixF decode_matrix_f32(const std::uint8_t* data, std::size_t size) {
   const std::size_t body_size = size - sizeof(MatrixHeader);
   switch (static_cast<PayloadKind>(h.kind)) {
     case PayloadKind::kDenseF32: {
+      check_dense_body<float>(h, body_size,
+                              "matrix decode: dense payload size mismatch");
       MatrixF m(h.rows, h.cols);
-      if (body_size != m.bytes()) {
-        throw ProtocolError("matrix decode: dense payload size mismatch");
-      }
       std::memcpy(m.data(), body, body_size);
       return m;
     }
@@ -127,10 +139,9 @@ MatrixU64 decode_matrix_u64(const std::uint8_t* data, std::size_t size) {
   if (static_cast<PayloadKind>(h.kind) != PayloadKind::kDenseU64) {
     throw ProtocolError("matrix decode: expected u64 payload");
   }
+  check_dense_body<std::uint64_t>(h, size - sizeof(MatrixHeader),
+                                  "matrix decode: u64 payload size mismatch");
   MatrixU64 m(h.rows, h.cols);
-  if (size - sizeof(MatrixHeader) != m.bytes()) {
-    throw ProtocolError("matrix decode: u64 payload size mismatch");
-  }
   std::memcpy(m.data(), data + sizeof(MatrixHeader), m.bytes());
   return m;
 }

@@ -13,7 +13,7 @@
 //   kSecureML      — two-party computation, no GPU, no optimizations
 //                    (the SecureML reimplementation the paper benchmarks)
 //   kParSecureML   — full system: adaptive GPU, double pipeline, compression,
-//                    CPU parallelism, Tensor-Core GEMM
+//                    CPU parallelism
 //   kCustom        — caller-provided PartyOptions (ablations)
 #pragma once
 

@@ -1,8 +1,11 @@
 // Profiling-guided adaptive GPU utilization (paper Sec. 4.2).
 //
 // The dispatcher answers one question per GEMM: run it on the CPU or ship it
-// to the (simulated) GPU? It calibrates both engines with a short profiling
-// run — small/medium probe multiplies on each — and fits simple cost models:
+// to the (simulated) GPU? Both sides run the same packed f32 engine and
+// return bit-identical results, so the choice changes only where (and how
+// fast) a product is computed, never its value. The dispatcher calibrates
+// both sides with a short profiling run — small/medium probe multiplies on
+// each — and fits simple cost models:
 //   t_cpu(flops) = a_cpu * flops
 //   t_gpu(flops, bytes) = overhead + a_gpu * flops + bytes / pcie_bw
 // The GPU model carries a fixed launch/transfer overhead term, which is what

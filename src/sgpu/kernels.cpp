@@ -1,121 +1,15 @@
 #include "sgpu/kernels.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <vector>
-
-#if defined(__F16C__) && defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
-#define PSML_TC_HW 1
-#else
-#define PSML_TC_HW 0
-#endif
 
 #include "common/aligned.hpp"
-#include "common/half.hpp"
 #include "rng/philox.hpp"
 #include "sgpu/device.hpp"
+#include "tensor/gemm_kernel.hpp"
 
 namespace psml::sgpu {
 
 namespace {
-
-// Row-panel FP32 GEMM microkernel (same blocking as the host kernel; the
-// device pool supplies the parallelism).
-void gemm_rows_f32(float alpha, const float* a, const float* b, float beta,
-                   float* c, std::size_t r0, std::size_t r1, std::size_t n,
-                   std::size_t k) {
-  constexpr std::size_t kKB = 256;
-  constexpr std::size_t kJB = 512;
-  for (std::size_t i = r0; i < r1; ++i) {
-    float* ci = c + i * n;
-    if (beta == 0.0f) {
-      std::fill(ci, ci + n, 0.0f);
-    } else if (beta != 1.0f) {
-      for (std::size_t j = 0; j < n; ++j) ci[j] *= beta;
-    }
-  }
-  for (std::size_t kb = 0; kb < k; kb += kKB) {
-    const std::size_t kmax = std::min(kb + kKB, k);
-    for (std::size_t jb = 0; jb < n; jb += kJB) {
-      const std::size_t jmax = std::min(jb + kJB, n);
-      for (std::size_t i = r0; i < r1; ++i) {
-        const float* ai = a + i * k;
-        float* ci = c + i * n;
-        for (std::size_t kk = kb; kk < kmax; ++kk) {
-          const float av = alpha * ai[kk];
-          if (av == 0.0f) continue;
-          const float* bk = b + kk * n;
-          for (std::size_t j = jb; j < jmax; ++j) ci[j] += av * bk[j];
-        }
-      }
-    }
-  }
-}
-
-// FP16-operand row-panel kernel: A and B are pre-quantized to binary16.
-void gemm_rows_tc(float alpha, const std::uint16_t* a, const std::uint16_t* b,
-                  float beta, float* c, std::size_t r0, std::size_t r1,
-                  std::size_t n, std::size_t k) {
-  constexpr std::size_t kKB = 256;
-  constexpr std::size_t kJB = 512;
-  for (std::size_t i = r0; i < r1; ++i) {
-    float* ci = c + i * n;
-    if (beta == 0.0f) {
-      std::fill(ci, ci + n, 0.0f);
-    } else if (beta != 1.0f) {
-      for (std::size_t j = 0; j < n; ++j) ci[j] *= beta;
-    }
-  }
-  for (std::size_t kb = 0; kb < k; kb += kKB) {
-    const std::size_t kmax = std::min(kb + kKB, k);
-    for (std::size_t jb = 0; jb < n; jb += kJB) {
-      const std::size_t jmax = std::min(jb + kJB, n);
-      for (std::size_t i = r0; i < r1; ++i) {
-        const std::uint16_t* ai = a + i * k;
-        float* ci = c + i * n;
-        for (std::size_t kk = kb; kk < kmax; ++kk) {
-          const float av = alpha * half_bits_to_float(ai[kk]);
-          if (av == 0.0f) continue;
-          const std::uint16_t* bk = b + kk * n;
-          std::size_t j = jb;
-#if PSML_TC_HW
-          const __m256 vav = _mm256_set1_ps(av);
-          for (; j + 8 <= jmax; j += 8) {
-            const __m128i bh = _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(bk + j));
-            const __m256 bf = _mm256_cvtph_ps(bh);
-            __m256 cf = _mm256_loadu_ps(ci + j);
-            cf = _mm256_fmadd_ps(vav, bf, cf);
-            _mm256_storeu_ps(ci + j, cf);
-          }
-#endif
-          for (; j < jmax; ++j) {
-            ci[j] += av * half_bits_to_float(bk[j]);
-          }
-        }
-      }
-    }
-  }
-}
-
-void quantize_to_half(Device& dev, const float* src, std::uint16_t* dst,
-                      std::size_t n) {
-  dev.compute_pool().parallel_for(
-      0, n,
-      [&](std::size_t lo, std::size_t hi) {
-        std::size_t i = lo;
-#if PSML_TC_HW
-        for (; i + 8 <= hi; i += 8) {
-          const __m256 f = _mm256_loadu_ps(src + i);
-          const __m128i h = _mm256_cvtps_ph(f, _MM_FROUND_TO_NEAREST_INT);
-          _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), h);
-        }
-#endif
-        for (; i < hi; ++i) dst[i] = float_to_half_bits(src[i]);
-      },
-      /*grain=*/kFloatsPerCacheLine * 16);
-}
 
 template <typename Body>
 void device_parallel(Device& dev, std::size_t n, Body&& body) {
@@ -125,45 +19,15 @@ void device_parallel(Device& dev, std::size_t n, Body&& body) {
 
 }  // namespace
 
-bool tensor_core_hw_f16c() { return PSML_TC_HW != 0; }
-
 void k_gemm(Device& dev, const float* a, const float* b, float* c,
             std::size_t m, std::size_t n, std::size_t k, float alpha,
             float beta) {
-  if (m * n * k < (std::size_t{1} << 18)) {
-    gemm_rows_f32(alpha, a, b, beta, c, 0, m, n, k);
-    return;
-  }
-  dev.compute_pool().parallel_for(
-      0, m,
-      [=](std::size_t lo, std::size_t hi) {
-        gemm_rows_f32(alpha, a, b, beta, c, lo, hi, n, k);
-      },
-      /*grain=*/4);
-}
-
-void k_gemm_tc(Device& dev, const float* a, const float* b, float* c,
-               std::size_t m, std::size_t n, std::size_t k, float alpha,
-               float beta) {
-  // Quantize operands once (this is what cublasSgemmEx does internally when
-  // fed FP32 data in tensor-op mode); the packed FP16 panels halve memory
-  // traffic in the multiply loop.
-  std::vector<std::uint16_t, AlignedAllocator<std::uint16_t>> ah(m * k);
-  std::vector<std::uint16_t, AlignedAllocator<std::uint16_t>> bh(k * n);
-  quantize_to_half(dev, a, ah.data(), m * k);
-  quantize_to_half(dev, b, bh.data(), k * n);
-  const std::uint16_t* pa = ah.data();
-  const std::uint16_t* pb = bh.data();
-  if (m * n * k < (std::size_t{1} << 18)) {
-    gemm_rows_tc(alpha, pa, pb, beta, c, 0, m, n, k);
-    return;
-  }
-  dev.compute_pool().parallel_for(
-      0, m,
-      [=](std::size_t lo, std::size_t hi) {
-        gemm_rows_tc(alpha, pa, pb, beta, c, lo, hi, n, k);
-      },
-      /*grain=*/4);
+  const tensor::detail::GemmArgsF32 g{
+      .m = m, .n = n, .k = k, .alpha = alpha, .beta = beta,
+      .a = a, .a_rs = k, .a_cs = 1, .b = b, .b_rs = n, .b_cs = 1,
+      .c = c, .ldc = n,
+      .pool = tensor::detail::partition_pool(dev.compute_pool(), m, n, k)};
+  tensor::detail::gemm_f32_auto(g);
 }
 
 void k_axpby(Device& dev, float alpha, const float* x, const float* y,

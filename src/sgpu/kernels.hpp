@@ -11,17 +11,13 @@ namespace psml::sgpu {
 class Device;
 
 // C = alpha * A(mxk) * B(kxn) + beta * C, row-major, FP32 ("cublasSgemm").
+// Runs the host's packed engine (tensor/gemm_kernel.hpp) with its tile grid
+// partitioned on the device compute pool, so it returns the same bits as
+// tensor::gemm_parallel and keeps the same numeric contract (NaN/Inf
+// propagate; beta == 0 overwrites C).
 void k_gemm(Device& dev, const float* a, const float* b, float* c,
             std::size_t m, std::size_t n, std::size_t k, float alpha,
             float beta);
-
-// Tensor-Core-path GEMM ("cublasSgemmEx with CUBLAS_TENSOR_OP_MATH"):
-// operands are rounded to IEEE binary16, products accumulate in FP32. On
-// x86 this uses F16C hardware conversion; numerically it matches V100 Tensor
-// Core behaviour (fp16 multiply, fp32 accumulate).
-void k_gemm_tc(Device& dev, const float* a, const float* b, float* c,
-               std::size_t m, std::size_t n, std::size_t k, float alpha,
-               float beta);
 
 // out[i] = alpha * x[i] + y[i]  (the "D = (-i)*E + A_i" step of Eq. 8).
 void k_axpby(Device& dev, float alpha, const float* x, const float* y,
@@ -42,8 +38,5 @@ void k_activation_piecewise_grad(Device& dev, const float* x, float* out,
 // Philox4x32-10 uniform fill ("curandGenerateUniform").
 void k_philox_uniform(Device& dev, float* out, std::size_t n, float lo,
                       float hi, std::uint64_t seed);
-
-// True when the Tensor-Core path uses hardware F16C conversion on this build.
-bool tensor_core_hw_f16c();
 
 }  // namespace psml::sgpu

@@ -24,7 +24,7 @@ DeviceMatrix to_device_async(Device& dev, Stream& stream, const MatrixF& src) {
 
 void gemm_async(Device& dev, Stream& stream, const DeviceMatrix& a,
                 const DeviceMatrix& b, DeviceMatrix& c, float alpha,
-                float beta, bool tensor_core) {
+                float beta) {
   PSML_REQUIRE(a.cols() == b.rows(), "gemm_async: inner dimensions disagree");
   PSML_REQUIRE(c.rows() == a.rows() && c.cols() == b.cols(),
                "gemm_async: output shape mismatch");
@@ -32,15 +32,9 @@ void gemm_async(Device& dev, Stream& stream, const DeviceMatrix& a,
   const float* pb = b.data();
   float* pc = c.data();
   const std::size_t m = a.rows(), n = b.cols(), k = a.cols();
-  if (tensor_core) {
-    dev.launch(stream, "gemm_tc", [&dev, pa, pb, pc, m, n, k, alpha, beta] {
-      k_gemm_tc(dev, pa, pb, pc, m, n, k, alpha, beta);
-    });
-  } else {
-    dev.launch(stream, "gemm", [&dev, pa, pb, pc, m, n, k, alpha, beta] {
-      k_gemm(dev, pa, pb, pc, m, n, k, alpha, beta);
-    });
-  }
+  dev.launch(stream, "gemm", [&dev, pa, pb, pc, m, n, k, alpha, beta] {
+    k_gemm(dev, pa, pb, pc, m, n, k, alpha, beta);
+  });
 }
 
 void axpby_async(Device& dev, Stream& stream, float alpha,
@@ -97,23 +91,22 @@ void philox_uniform_async(Device& dev, Stream& stream, DeviceMatrix& out,
   });
 }
 
-MatrixF device_matmul(Device& dev, const MatrixF& a, const MatrixF& b,
-                      bool tensor_core) {
+MatrixF device_matmul(Device& dev, const MatrixF& a, const MatrixF& b) {
   PSML_REQUIRE(a.cols() == b.rows(),
                "device_matmul: inner dimensions disagree");
   Stream& s = dev.default_stream();
   DeviceMatrix da = to_device_async(dev, s, a);
   DeviceMatrix db = to_device_async(dev, s, b);
   DeviceMatrix dc(dev, a.rows(), b.cols());
-  gemm_async(dev, s, da, db, dc, 1.0f, 0.0f, tensor_core);
+  gemm_async(dev, s, da, db, dc, 1.0f, 0.0f);
   MatrixF c(a.rows(), b.cols());
   download_async(dev, s, c, dc);
   s.synchronize();
   return c;
 }
 
-MatrixF device_matmul(const MatrixF& a, const MatrixF& b, bool tensor_core) {
-  return device_matmul(Device::global(), a, b, tensor_core);
+MatrixF device_matmul(const MatrixF& a, const MatrixF& b) {
+  return device_matmul(Device::global(), a, b);
 }
 
 }  // namespace psml::sgpu

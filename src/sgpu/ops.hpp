@@ -52,10 +52,10 @@ DeviceMatrix to_device_async(Device& dev, Stream& stream, const MatrixF& src);
 
 // ---- async kernels ---------------------------------------------------------
 
-// C = alpha * A * B + beta * C. `tensor_core` selects the FP16 fast path.
+// C = alpha * A * B + beta * C.
 void gemm_async(Device& dev, Stream& stream, const DeviceMatrix& a,
                 const DeviceMatrix& b, DeviceMatrix& c, float alpha = 1.0f,
-                float beta = 0.0f, bool tensor_core = false);
+                float beta = 0.0f);
 
 // out = alpha * x + y, elementwise.
 void axpby_async(Device& dev, Stream& stream, float alpha,
@@ -81,9 +81,7 @@ void philox_uniform_async(Device& dev, Stream& stream, DeviceMatrix& out,
 // Full round trip on the default stream: upload A and B, multiply, download.
 // The workhorse of the offline phase (Z = U x V) and the non-pipelined
 // online fallback.
-MatrixF device_matmul(const MatrixF& a, const MatrixF& b,
-                      bool tensor_core = false);
-MatrixF device_matmul(Device& dev, const MatrixF& a, const MatrixF& b,
-                      bool tensor_core = false);
+MatrixF device_matmul(const MatrixF& a, const MatrixF& b);
+MatrixF device_matmul(Device& dev, const MatrixF& a, const MatrixF& b);
 
 }  // namespace psml::sgpu

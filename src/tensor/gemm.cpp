@@ -34,7 +34,7 @@ bool resolve_simd() {
 // the gather, so there is no transpose copy.
 detail::GemmArgsF32 make_args(float alpha, const MatrixF& a, Trans ta,
                               const MatrixF& b, Trans tb, float beta,
-                              MatrixF& c, const GemmDims& d, bool parallel) {
+                              MatrixF& c, const GemmDims& d, ThreadPool* pool) {
   detail::GemmArgsF32 g;
   g.m = d.m;
   g.n = d.n;
@@ -59,16 +59,8 @@ detail::GemmArgsF32 make_args(float alpha, const MatrixF& a, Trans ta,
   }
   g.c = c.data();
   g.ldc = d.n;
-  g.parallel = parallel;
+  g.pool = pool;
   return g;
-}
-
-void run_packed(const detail::GemmArgsF32& g) {
-  if (resolve_simd()) {
-    detail::gemm_f32_simd(g);
-  } else {
-    detail::gemm_f32_scalar(g);
-  }
 }
 
 }  // namespace
@@ -105,16 +97,15 @@ void gemm_naive(float alpha, const MatrixF& a, Trans ta, const MatrixF& b,
 void gemm_blocked(float alpha, const MatrixF& a, Trans ta, const MatrixF& b,
                   Trans tb, float beta, MatrixF& c) {
   const GemmDims d = gemm_dims(a, ta, b, tb, c);
-  run_packed(make_args(alpha, a, ta, b, tb, beta, c, d, /*parallel=*/false));
+  detail::gemm_f32_auto(make_args(alpha, a, ta, b, tb, beta, c, d, nullptr));
 }
 
 void gemm_parallel(float alpha, const MatrixF& a, Trans ta, const MatrixF& b,
                    Trans tb, float beta, MatrixF& c) {
   const GemmDims d = gemm_dims(a, ta, b, tb, c);
-  // Small problems: parallel launch overhead dominates. The serial engine is
-  // bit-identical, so the cutoff is invisible to results.
-  const bool parallel = d.m * d.n * d.k >= (std::size_t{1} << 18);
-  run_packed(make_args(alpha, a, ta, b, tb, beta, c, d, parallel));
+  detail::gemm_f32_auto(make_args(
+      alpha, a, ta, b, tb, beta, c, d,
+      detail::partition_pool(ThreadPool::global(), d.m, d.n, d.k)));
 }
 
 MatrixF matmul(const MatrixF& a, const MatrixF& b) {
@@ -130,6 +121,14 @@ MatrixF matmul_naive(const MatrixF& a, const MatrixF& b) {
 }
 
 namespace detail {
+void gemm_f32_auto(const GemmArgsF32& g) {
+  if (resolve_simd()) {
+    gemm_f32_simd(g);
+  } else {
+    gemm_f32_scalar(g);
+  }
+}
+
 void gemm_u64_auto(const GemmArgsU64& g) {
   if (!resolve_simd()) {
     gemm_u64_scalar(g);

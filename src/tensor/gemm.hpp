@@ -8,7 +8,9 @@
 //                   fallback, single-threaded.
 //   gemm_parallel — the same packed engine with the MCxNC tile grid
 //                   partitioned 2-D across the global thread pool; the CPU
-//                   side of the adaptive dispatcher.
+//                   side of the adaptive dispatcher. The device side,
+//                   sgpu::k_gemm, runs the same engine on the device pool
+//                   and returns the same bits.
 //
 // Numeric contract (all tiers, see docs/ANALYSIS.md "Packed GEMM engine"):
 //   - no value-based work skipping: NaN/Inf anywhere in A or B propagates;

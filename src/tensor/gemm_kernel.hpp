@@ -1,6 +1,6 @@
-// Internal packed-GEMM engine shared by every CPU matmul kernel in the repo:
-// the f32 kernels behind tensor::gemm_blocked / gemm_parallel and the u64
-// ring kernel behind mpc::ring_matmul.
+// Internal packed-GEMM engine shared by every matmul kernel in the repo: the
+// f32 kernels behind tensor::gemm_blocked / gemm_parallel, the simulated
+// device's sgpu::k_gemm, and the u64 ring kernel behind mpc::ring_matmul.
 //
 // Structure (BLIS-style):
 //   - operands are described by (pointer, row stride, col stride), so all four
@@ -11,10 +11,11 @@
 //     zero-padded so the microkernel always runs full tiles;
 //   - a register-blocked microkernel contracts one MRxNR tile over kc;
 //   - the macro loop walks fixed MCxNC tiles of C. Parallelism is a 2-D
-//     partition of that tile grid; the per-element update order (k blocks in
-//     ascending order, one owner tile per C element) is therefore identical
-//     for every thread count, which makes f32 results bit-identical between
-//     gemm_blocked and gemm_parallel for a fixed tile plan.
+//     partition of that tile grid on whichever pool the caller names; the
+//     per-element update order (k blocks in ascending order, one owner tile
+//     per C element) is therefore identical for every pool and thread count,
+//     which makes f32 results bit-identical between gemm_blocked,
+//     gemm_parallel and the device GEMM for a fixed tile plan.
 //
 // Numeric semantics (shared with gemm_naive, documented in docs/ANALYSIS.md):
 //   - branch-free accumulation: there is no value-based work skipping, so
@@ -52,8 +53,17 @@ struct GemmArgs {
   std::size_t b_rs = 0, b_cs = 0;
   T* c = nullptr;
   std::size_t ldc = 0;
-  bool parallel = false;  // 2-D tile partition on the global thread pool
+  ThreadPool* pool = nullptr;  // pool for the 2-D tile partition; null = serial
 };
+
+// The pool a problem of m*n*k multiply-adds should partition on: below 2^18
+// a pool launch costs more than it saves, so small problems run serially.
+// The engine is bit-identical either way, so the cutoff is invisible to
+// results.
+inline ThreadPool* partition_pool(ThreadPool& pool, std::size_t m,
+                                  std::size_t n, std::size_t k) {
+  return m * n * k >= (std::size_t{1} << 18) ? &pool : nullptr;
+}
 
 using GemmArgsF32 = GemmArgs<float>;
 using GemmArgsU64 = GemmArgs<std::uint64_t>;
@@ -181,8 +191,14 @@ void run_tile_range(const GemmArgs<T>& g, std::size_t t0, std::size_t t1,
   constexpr std::size_t MC = Plan::MC, KC = Plan::KC, NC = Plan::NC;
   const std::size_t nbj = (g.n + NC - 1) / NC;
 
-  std::vector<T, AlignedAllocator<T>> apack(MC * KC);
-  std::vector<T, AlignedAllocator<T>> bpack(KC * NC);
+  // Pack buffers are sized to this problem's largest block, not the full
+  // tile plan: every pool thread that runs a chunk allocates (and zeroes)
+  // its own pair, and that memory stays resident in its malloc arena.
+  const std::size_t kmax = g.k < KC ? g.k : KC;
+  const std::size_t mmax = g.m < MC ? (g.m + MR - 1) / MR * MR : MC;
+  const std::size_t nmax = g.n < NC ? (g.n + NR - 1) / NR * NR : NC;
+  std::vector<T, AlignedAllocator<T>> apack(mmax * kmax);
+  std::vector<T, AlignedAllocator<T>> bpack(kmax * nmax);
 
   for (std::size_t t = t0; t < t1; ++t) {
     const std::size_t ic = (t / nbj) * MC;
@@ -217,9 +233,9 @@ void run_tile_range(const GemmArgs<T>& g, std::size_t t0, std::size_t t1,
   }
 }
 
-// Full engine: partitions the MCxNC tile grid, serially or across the global
-// thread pool. Tiles own disjoint C regions and each runs its k loop
-// in-order, so serial and parallel execution produce identical bits.
+// Full engine: partitions the MCxNC tile grid, serially or across g.pool.
+// Tiles own disjoint C regions and each runs its k loop in-order, so serial
+// and parallel execution produce identical bits.
 template <typename T, typename Micro>
 void packed_gemm(const GemmArgs<T>& g, Micro micro) {
   using Plan = TilePlan<T>;
@@ -227,8 +243,8 @@ void packed_gemm(const GemmArgs<T>& g, Micro micro) {
   const std::size_t nbi = (g.m + Plan::MC - 1) / Plan::MC;
   const std::size_t nbj = (g.n + Plan::NC - 1) / Plan::NC;
   const std::size_t tiles = nbi * nbj;
-  if (g.parallel && tiles > 1) {
-    parallel_for(
+  if (g.pool != nullptr && tiles > 1) {
+    g.pool->parallel_for(
         0, tiles,
         [&g, micro](std::size_t lo, std::size_t hi) {
           run_tile_range<T>(g, lo, hi, micro);
@@ -252,8 +268,10 @@ void gemm_u64_avx512(const GemmArgsU64& g);
 bool cpu_has_avx2_fma();
 bool cpu_has_avx512dq();
 
-// u64 entry honoring the process-wide GemmIsa selection (defined in gemm.cpp
-// next to the f32 dispatch); mpc::ring_matmul calls this.
+// Entries honoring the process-wide GemmIsa selection (defined in gemm.cpp).
+// The tensor:: f32 kernels and sgpu::k_gemm call the f32 one,
+// mpc::ring_matmul the u64 one.
+void gemm_f32_auto(const GemmArgsF32& g);
 void gemm_u64_auto(const GemmArgsU64& g);
 
 }  // namespace psml::tensor::detail

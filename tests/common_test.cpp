@@ -1,10 +1,9 @@
-// Unit tests for src/common: half floats, thread pool, parallel_for, timers,
-// env parsing, error macros.
+// Unit tests for src/common: thread pool, parallel_for, timers, env parsing,
+// error macros.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <numeric>
 #include <thread>
@@ -13,77 +12,12 @@
 #include "common/aligned.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
-#include "common/half.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 
 namespace psml {
 namespace {
-
-TEST(Half, RoundTripExactValues) {
-  // Values exactly representable in binary16 survive a round trip.
-  const float exact[] = {0.0f, 1.0f,  -1.0f, 0.5f,  -0.5f, 2.0f,
-                         1.5f, 0.25f, 100.0f, -320.5f, 65504.0f};
-  for (float f : exact) {
-    EXPECT_EQ(half_bits_to_float(float_to_half_bits(f)), f) << f;
-  }
-}
-
-TEST(Half, RoundTripIsClose) {
-  // Arbitrary floats round to within half-precision ulp (~0.1% relative).
-  for (int i = -200; i <= 200; ++i) {
-    const float f = 0.037f * static_cast<float>(i) * std::pow(1.1f, i % 7);
-    const float r = half_bits_to_float(float_to_half_bits(f));
-    if (f == 0.0f) {
-      EXPECT_EQ(r, 0.0f);
-    } else {
-      EXPECT_NEAR(r / f, 1.0f, 1.0f / 1024.0f) << f;
-    }
-  }
-}
-
-TEST(Half, Overflow) {
-  EXPECT_TRUE(std::isinf(half_bits_to_float(float_to_half_bits(1e6f))));
-  EXPECT_TRUE(std::isinf(half_bits_to_float(float_to_half_bits(-1e6f))));
-  EXPECT_LT(half_bits_to_float(float_to_half_bits(-1e6f)), 0.0f);
-}
-
-TEST(Half, NaN) {
-  const float nan = std::nanf("");
-  EXPECT_TRUE(std::isnan(half_bits_to_float(float_to_half_bits(nan))));
-}
-
-TEST(Half, Subnormals) {
-  // Smallest positive half subnormal is 2^-24 ~ 5.96e-8.
-  const float tiny = 6.0e-8f;
-  const float r = half_bits_to_float(float_to_half_bits(tiny));
-  EXPECT_GT(r, 0.0f);
-  EXPECT_NEAR(r, tiny, 6.0e-8);
-  // Values below half the smallest subnormal flush to zero.
-  EXPECT_EQ(half_bits_to_float(float_to_half_bits(1.0e-9f)), 0.0f);
-}
-
-TEST(Half, ExhaustiveRoundTripAllEncodings) {
-  // Every finite binary16 bit pattern must survive half -> float -> half
-  // exactly (float holds all halfs; conversion back must round-trip).
-  int checked = 0;
-  for (std::uint32_t bits = 0; bits <= 0xFFFFu; ++bits) {
-    const auto h = static_cast<std::uint16_t>(bits);
-    const std::uint32_t exp = (h >> 10) & 0x1F;
-    if (exp == 0x1F) continue;  // inf/NaN: payload normalization allowed
-    const float f = half_bits_to_float(h);
-    const std::uint16_t back = float_to_half_bits(f);
-    if (h == 0x8000u) {
-      // -0 may round-trip to -0; require sign+zero preserved.
-      ASSERT_EQ(back & 0x7FFFu, 0u);
-    } else {
-      ASSERT_EQ(back, h) << "bits 0x" << std::hex << bits;
-    }
-    ++checked;
-  }
-  EXPECT_EQ(checked, 0x10000 - 2 * 0x400);  // all finite encodings
-}
 
 TEST(Log, LevelsFilterAndRoundTrip) {
   const LogLevel before = log_level();
@@ -95,12 +29,6 @@ TEST(Log, LevelsFilterAndRoundTrip) {
   set_log_level(LogLevel::kTrace);
   EXPECT_EQ(log_level(), LogLevel::kTrace);
   set_log_level(before);
-}
-
-TEST(Half, SignPreserved) {
-  for (float f : {-3.5f, -0.125f, -65000.0f}) {
-    EXPECT_LT(half_bits_to_float(float_to_half_bits(f)), 0.0f) << f;
-  }
 }
 
 TEST(ThreadPool, RunsSubmittedTasks) {

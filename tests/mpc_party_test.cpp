@@ -13,7 +13,6 @@ TEST(PartyOptions, BaselineDisablesEverything) {
   const auto o = PartyOptions::secureml_baseline();
   EXPECT_FALSE(o.use_gpu);
   EXPECT_FALSE(o.use_pipeline);
-  EXPECT_FALSE(o.use_tensor_core);
   EXPECT_FALSE(o.use_compression);
   EXPECT_FALSE(o.fuse_eq8);
   EXPECT_FALSE(o.cpu_parallel);
@@ -24,7 +23,6 @@ TEST(PartyOptions, ParSecureMLEnablesEverything) {
   const auto o = PartyOptions::parsecureml();
   EXPECT_TRUE(o.use_gpu);
   EXPECT_TRUE(o.use_pipeline);
-  EXPECT_TRUE(o.use_tensor_core);
   EXPECT_TRUE(o.use_compression);
   EXPECT_TRUE(o.fuse_eq8);
   EXPECT_TRUE(o.cpu_parallel);

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "common/crc32.hpp"
@@ -149,6 +150,36 @@ TEST(Serialize, MalformedPayloadThrows) {
   // Wrong-kind decode.
   const auto fbuf = encode_matrix(m);
   EXPECT_THROW(decode_matrix_u64(fbuf.data(), fbuf.size()), ProtocolError);
+}
+
+// A bare 12-byte header of kind `src`'s claiming rows x cols with no body.
+// Decoding must reject it before sizing a rows x cols allocation (65536^2
+// floats would be 16 GiB).
+std::vector<std::uint8_t> forged_header(std::vector<std::uint8_t> src,
+                                        std::uint32_t rows,
+                                        std::uint32_t cols) {
+  src.resize(12);
+  std::memcpy(src.data() + 4, &rows, sizeof(rows));
+  std::memcpy(src.data() + 8, &cols, sizeof(cols));
+  return src;
+}
+
+TEST(Serialize, ForgedF32HeaderThrowsBeforeAllocating) {
+  const auto valid = encode_matrix(random_matrix(1, 1, 74));
+  for (const std::uint32_t dim : {65536u, 0xFFFFFFFFu}) {
+    const auto buf = forged_header(valid, dim, dim);
+    EXPECT_THROW(decode_matrix_f32(buf.data(), buf.size()), ProtocolError)
+        << dim;
+  }
+}
+
+TEST(Serialize, ForgedU64HeaderThrowsBeforeAllocating) {
+  const auto valid = encode_matrix(MatrixU64(1, 1, 5));
+  for (const std::uint32_t dim : {65536u, 0xFFFFFFFFu}) {
+    const auto buf = forged_header(valid, dim, dim);
+    EXPECT_THROW(decode_matrix_u64(buf.data(), buf.size()), ProtocolError)
+        << dim;
+  }
 }
 
 TEST(Serialize, ChannelHelpers) {

@@ -1,12 +1,17 @@
 // Simulated-device tests: memory accounting, stream ordering, events,
-// copies, kernel correctness (gemm, gemm_tc, axpby, activation, philox),
-// transfer throttling, and the activity trace.
+// copies, kernel correctness (gemm bit-identical to the host engine, axpby,
+// activation, philox), transfer throttling, and the activity trace.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
+#include <limits>
 
-#include "common/half.hpp"
 #include "common/timer.hpp"
+#include "mpc/secure_matmul.hpp"
+#include "mpc/share.hpp"
+#include "mpc/triplet.hpp"
 #include "rng/philox.hpp"
 #include "sgpu/device.hpp"
 #include "sgpu/kernels.hpp"
@@ -20,6 +25,7 @@ namespace {
 
 using psml::test::expect_near;
 using psml::test::random_matrix;
+using psml::test::run_parties;
 
 Device::Config small_config() {
   Device::Config cfg;
@@ -117,52 +123,171 @@ TEST(Device, CopyBoundsChecked) {
       InvalidArgument);
 }
 
+// Bit-for-bit equality. max_abs_diff cannot say this: it calls two NaNs
+// unequal and +0 / -0 equal.
+void expect_bitwise(const MatrixF& got, const MatrixF& want,
+                    const std::string& what) {
+  ASSERT_TRUE(got.same_shape(want)) << what << ": shape mismatch";
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    std::uint32_t g = 0, w = 0;
+    std::memcpy(&g, got.data() + i, sizeof(g));
+    std::memcpy(&w, want.data() + i, sizeof(w));
+    ASSERT_EQ(g, w) << what << ": element " << i << " is " << got.data()[i]
+                    << ", want " << want.data()[i];
+  }
+}
+
+// C = alpha * A x B + beta * C on the device through gemm_async, starting
+// from `c`.
+MatrixF device_gemm(Device& dev, float alpha, const MatrixF& a,
+                    const MatrixF& b, float beta, const MatrixF& c) {
+  Stream& s = dev.default_stream();
+  DeviceMatrix da = to_device_async(dev, s, a);
+  DeviceMatrix db = to_device_async(dev, s, b);
+  DeviceMatrix dc = to_device_async(dev, s, c);
+  gemm_async(dev, s, da, db, dc, alpha, beta);
+  MatrixF out(c.rows(), c.cols());
+  download_async(dev, s, out, dc);
+  s.synchronize();
+  return out;
+}
+
+// The same product on the host engine.
+MatrixF host_gemm(float alpha, const MatrixF& a, const MatrixF& b, float beta,
+                  MatrixF c) {
+  tensor::gemm_parallel(alpha, a, tensor::Trans::kNo, b, tensor::Trans::kNo,
+                        beta, c);
+  return c;
+}
+
+struct GemmShape {
+  std::size_t m, k, n;
+};
+
+std::string shape_name(const GemmShape& s) {
+  return std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
+         std::to_string(s.n);
+}
+
+// Shapes on both sides of the 2^18 multiply-add pool cutoff and across the
+// 6x16 register tile and the 72x256x512 (MC x KC x NC) cache tiles.
+const GemmShape kEdgeShapes[] = {
+    {1, 1, 1}, {7, 300, 13}, {73, 257, 513}, {200, 205, 202}};
+
 class DeviceGemm : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(DeviceGemm, MatchesCpu) {
   const std::size_t n = GetParam();
   const MatrixF a = random_matrix(n, n + 5, 82);
   const MatrixF b = random_matrix(n + 5, n + 2, 83);
-  const MatrixF ref = tensor::matmul(a, b);
-  expect_near(ref, device_matmul(a, b), 1e-3 * n, "device gemm");
-}
-
-TEST_P(DeviceGemm, TensorCorePathApproximatesFp32) {
-  const std::size_t n = GetParam();
-  const MatrixF a = random_matrix(n, n, 84);
-  const MatrixF b = random_matrix(n, n, 85);
-  const MatrixF ref = tensor::matmul(a, b);
-  const MatrixF tc = device_matmul(a, b, /*tensor_core=*/true);
-  // fp16 mantissa is 10 bits: relative error ~ 2^-10 per product, grows
-  // with sqrt(k); a loose elementwise bound of 0.02 * k covers it.
-  expect_near(ref, tc, 2e-3 * static_cast<double>(n) + 0.05, "gemm_tc");
+  expect_bitwise(device_matmul(a, b), tensor::matmul(a, b), "device gemm");
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, DeviceGemm,
                          ::testing::Values(4, 17, 64, 128, 200));
 
-TEST(Kernels, GemmTcExactlyMatchesHalfReference) {
-  // The TC path must equal an explicit fp16-quantize + fp32-accumulate
-  // reference, not merely approximate fp32.
+TEST(DeviceGemmBitwise, TileEdgeShapes) {
   Device dev(small_config());
-  const std::size_t m = 9, k = 13, n = 11;
-  const MatrixF a = random_matrix(m, k, 86);
-  const MatrixF b = random_matrix(k, n, 87);
-  MatrixF ref(m, n, 0.0f);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      float acc = 0.0f;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const float av = half_bits_to_float(float_to_half_bits(a(i, kk)));
-        const float bv = half_bits_to_float(float_to_half_bits(b(kk, j)));
-        acc += av * bv;
-      }
-      ref(i, j) = acc;
+  for (const GemmShape& s : kEdgeShapes) {
+    const MatrixF a = random_matrix(s.m, s.k, 84);
+    const MatrixF b = random_matrix(s.k, s.n, 85);
+    expect_bitwise(device_matmul(dev, a, b), tensor::matmul(a, b),
+                   shape_name(s));
+  }
+}
+
+TEST(DeviceGemmBitwise, BetaZeroOverwritesNaN) {
+  Device dev(small_config());
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const GemmShape& s : kEdgeShapes) {
+    const MatrixF a = random_matrix(s.m, s.k, 86);
+    const MatrixF b = random_matrix(s.k, s.n, 87);
+    const MatrixF c(s.m, s.n, nan);
+    const MatrixF got = device_gemm(dev, 0.75f, a, b, 0.0f, c);
+    expect_bitwise(got, host_gemm(0.75f, a, b, 0.0f, c), shape_name(s));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_FALSE(std::isnan(got.data()[i])) << shape_name(s) << " " << i;
     }
   }
-  MatrixF c(m, n, 0.0f);
-  k_gemm_tc(dev, a.data(), b.data(), c.data(), m, n, k, 1.0f, 0.0f);
-  expect_near(ref, c, 1e-5, "tc vs half reference");
+}
+
+TEST(DeviceGemmBitwise, BetaOneAccumulates) {
+  Device dev(small_config());
+  for (const GemmShape& s : kEdgeShapes) {
+    const MatrixF a = random_matrix(s.m, s.k, 88);
+    const MatrixF b = random_matrix(s.k, s.n, 89);
+    const MatrixF c = random_matrix(s.m, s.n, 90);
+    expect_bitwise(device_gemm(dev, -1.0f, a, b, 1.0f, c),
+                   host_gemm(-1.0f, a, b, 1.0f, c), shape_name(s));
+  }
+}
+
+TEST(DeviceGemmBitwise, NaNInfAndSignedZeroOperands) {
+  Device dev(small_config());
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {nan, inf, -inf, 0.0f, -0.0f};
+  for (const GemmShape& s : kEdgeShapes) {
+    MatrixF a = random_matrix(s.m, s.k, 91);
+    MatrixF b = random_matrix(s.k, s.n, 92);
+    // Sprinkle the specials over both operands at co-prime strides.
+    for (std::size_t i = 0; i < a.size(); i += 7) a.data()[i] = specials[i % 5];
+    for (std::size_t i = 0; i < b.size(); i += 11) b.data()[i] = specials[i % 5];
+    const MatrixF c(s.m, s.n, -0.0f);
+    expect_bitwise(device_gemm(dev, 1.0f, a, b, 0.0f, c),
+                   host_gemm(1.0f, a, b, 0.0f, c), shape_name(s));
+    expect_bitwise(device_gemm(dev, -1.0f, a, b, 1.0f, c),
+                   host_gemm(-1.0f, a, b, 1.0f, c), shape_name(s));
+  }
+}
+
+TEST(DeviceGemmBitwise, ZeroTimesNaNIsNaN) {
+  // A = 0 with B(0,0) = NaN: every C(i,0) has a 0 * NaN term, so it is NaN.
+  // A kernel that skips zero A terms returns 0 here.
+  Device dev(small_config());
+  for (const GemmShape& s : kEdgeShapes) {
+    const MatrixF a(s.m, s.k, 0.0f);
+    MatrixF b = random_matrix(s.k, s.n, 93);
+    b(0, 0) = std::numeric_limits<float>::quiet_NaN();
+    const MatrixF c(s.m, s.n, 0.0f);
+    const MatrixF got = device_gemm(dev, 1.0f, a, b, 0.0f, c);
+    for (std::size_t i = 0; i < s.m; ++i) {
+      ASSERT_TRUE(std::isnan(got(i, 0))) << shape_name(s) << " row " << i;
+    }
+    expect_bitwise(got, host_gemm(1.0f, a, b, 0.0f, c), shape_name(s));
+  }
+}
+
+TEST(DeviceGemmBitwise, FusedEq8OnDeviceMatchesCpu) {
+  // m*n*k above the pool cutoff and m over one 72-row tile, so the device
+  // run partitions the tile grid on its pool.
+  const std::size_t m = 100, k = 64, n = 48;
+  const MatrixF a = random_matrix(m, k, 94);
+  const MatrixF b = random_matrix(k, n, 95);
+  mpc::TripletDealer dealer(nullptr, {false, false, 96});
+  auto [t0, t1] = dealer.make_matmul(m, k, n);
+  const auto sa = mpc::share_float(a, 97);
+  const auto sb = mpc::share_float(b, 98);
+
+  auto run = [&](bool on_device) {
+    mpc::PartyOptions opts = mpc::PartyOptions::parsecureml();
+    opts.use_gpu = on_device;
+    opts.adaptive = false;  // no dispatcher: the flag alone picks the engine
+    std::pair<MatrixF, MatrixF> c;
+    run_parties(
+        opts,
+        [&](mpc::PartyContext& ctx) {
+          c.first = mpc::secure_matmul(ctx, sa.s0, sb.s0, t0);
+        },
+        [&](mpc::PartyContext& ctx) {
+          c.second = mpc::secure_matmul(ctx, sa.s1, sb.s1, t1);
+        });
+    return c;
+  };
+  const auto dev = run(true);
+  const auto cpu = run(false);
+  expect_bitwise(dev.first, cpu.first, "party 0 share");
+  expect_bitwise(dev.second, cpu.second, "party 1 share");
 }
 
 TEST(Kernels, Axpby) {
