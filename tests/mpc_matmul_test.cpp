@@ -27,6 +27,11 @@ struct ModeCase {
   PartyOptions opts;
 };
 
+// gtest would otherwise print the case as a raw byte dump: the name pointer
+// (moved by ASLR on every run) plus PartyOptions' padding bytes, so the
+// discovered test names changed from one build to the next.
+void PrintTo(const ModeCase& mode, std::ostream* os) { *os << mode.name; }
+
 std::vector<ModeCase> all_modes() {
   std::vector<ModeCase> modes;
   modes.push_back({"secureml_baseline", PartyOptions::secureml_baseline()});
