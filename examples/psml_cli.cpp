@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 
 #include "ml/checkpoint.hpp"
@@ -45,29 +46,6 @@ struct Args {
   }
 };
 
-Args parse(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    // Fresh strings at each step, no in-place erase/substr-self-assign:
-    // GCC 12's -Wrestrict misfires on those patterns and this file must
-    // build under -Werror.
-    const char* raw = argv[i];
-    if (raw[0] != '-' || raw[1] != '-') {
-      std::fprintf(stderr, "unrecognized argument: %s (flags start with --)\n",
-                   raw);
-      std::exit(2);
-    }
-    const std::string a(raw + 2);
-    const auto eq = a.find('=');
-    if (eq == std::string::npos) {
-      args.kv.emplace(a, "1");
-    } else {
-      args.kv.insert_or_assign(a.substr(0, eq), a.substr(eq + 1));
-    }
-  }
-  return args;
-}
-
 void usage() {
   std::puts(
       "psml_cli — ParSecureML-Repro experiment runner\n"
@@ -85,6 +63,43 @@ void usage() {
       "outputs:\n"
       "  --trace=FILE.json  chrome://tracing timeline of the device\n"
       "  --save=FILE.bin    checkpoint of the trained (reconstructed) model\n");
+}
+
+// Every flag name main() reads; anything else is a typo or a removed flag,
+// and running the default mode in its place would hide that.
+const std::set<std::string> kKnownFlags = {
+    "help", "model", "dataset", "mode", "samples", "batch", "epochs", "lr",
+    "seed", "rnn-steps", "infer", "no-evaluate", "no-gpu", "no-pipeline",
+    "no-compression", "no-cpu-parallel", "no-adaptive", "no-eq8",
+    "compression-threshold", "trace", "save"};
+
+Args parse(int argc, char** argv) {
+  Args args;
+  for (int i = 1; i < argc; ++i) {
+    // Fresh strings at each step, no in-place erase/substr-self-assign:
+    // GCC 12's -Wrestrict misfires on those patterns and this file must
+    // build under -Werror.
+    const char* raw = argv[i];
+    if (raw[0] != '-' || raw[1] != '-') {
+      std::fprintf(stderr, "unrecognized argument: %s (flags start with --)\n",
+                   raw);
+      std::exit(2);
+    }
+    const std::string a(raw + 2);
+    const auto eq = a.find('=');
+    const std::string name = a.substr(0, eq);
+    if (kKnownFlags.count(name) == 0) {
+      std::fprintf(stderr, "unknown flag: --%s\n\n", name.c_str());
+      usage();
+      std::exit(2);
+    }
+    if (eq == std::string::npos) {
+      args.kv.emplace(name, "1");
+    } else {
+      args.kv.insert_or_assign(name, a.substr(eq + 1));
+    }
+  }
+  return args;
 }
 
 ModelKind parse_model(const std::string& s) {

@@ -32,20 +32,19 @@ std::size_t Endpoint::plan_body(std::uint64_t key, const MatrixF& m,
   const std::uint8_t sk_csr = kCsrDelta;
 
   if (cfg_.enabled) {
-    auto it = send_state_.find(key);
-    if (it != send_state_.end() && it->second.baseline.same_shape(m)) {
-      SendState& st = it->second;
-      // st.delta is per-key scratch: after the first epoch its allocation is
-      // reused every send instead of churning a fresh matrix per call.
-      tensor::sub(m, st.baseline, st.delta);
-      if (tensor::zero_fraction(st.delta) >= cfg_.sparsity_threshold) {
-        const auto csr = sparse::Csr::from_dense(st.delta);
+    auto it = send_baseline_.find(key);
+    if (it != send_baseline_.end() && it->second.same_shape(m)) {
+      MatrixF& baseline = it->second;
+      MatrixF& delta = delta_scratch_[{m.rows(), m.cols()}];
+      tensor::sub(m, baseline, delta);
+      if (tensor::zero_fraction(delta) >= cfg_.sparsity_threshold) {
+        const auto csr = sparse::Csr::from_dense(delta);
         // CSR only pays off if it is actually smaller than dense.
         if (net::encoded_csr_bytes(csr) + 1 < dense_payload) {
           out.append_copy(&sk_csr, 1);
           out.append_vector(net::encode_csr(csr));
           stats_.compressed_messages += 1;
-          st.baseline = m;  // same shape: copy-assign reuses the allocation
+          baseline = m;  // same shape: copy-assign reuses the allocation
           const std::size_t appended = out.size() - before;
           stats_.sent_bytes += appended;
           return appended;
@@ -57,10 +56,7 @@ std::size_t Endpoint::plan_body(std::uint64_t key, const MatrixF& m,
   // Borrowed view of the caller's matrix storage — valid through the
   // synchronous channel send that follows plan_body.
   net::encode_matrix_into(m, out);
-  if (cfg_.enabled) {
-    SendState& st = send_state_[key];
-    st.baseline = m;
-  }
+  if (cfg_.enabled) send_baseline_[key] = m;
   const std::size_t appended = out.size() - before;
   stats_.sent_bytes += appended;
   return appended;
@@ -180,7 +176,8 @@ void Endpoint::reset_baselines() {
   // between them.
   sync::MutexLock send_lock(send_mutex_);
   sync::MutexLock recv_lock(recv_mutex_);
-  send_state_.clear();
+  send_baseline_.clear();
+  delta_scratch_.clear();
   recv_baseline_.clear();
 }
 

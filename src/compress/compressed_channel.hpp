@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -88,14 +89,6 @@ class Endpoint {
   void reset_baselines();
 
  private:
-  // Per-key send-side state. `baseline` advances by same-shape copy-assign
-  // (reuses its allocation) and `delta` is scratch reused across epochs —
-  // the steady state of a training run does no per-send allocation here.
-  struct SendState {
-    MatrixF baseline;
-    MatrixF delta;
-  };
-
   // Appends one stream body ([subkind][payload]) to `out` and advances the
   // stream's baseline; returns the bytes appended.
   std::size_t plan_body(std::uint64_t key, const MatrixF& m,
@@ -114,7 +107,15 @@ class Endpoint {
   mutable sync::Mutex send_mutex_ PSML_BLOCKING;
   sync::Mutex recv_mutex_;
   Stats stats_ PSML_GUARDED_BY(send_mutex_);
-  std::unordered_map<std::uint64_t, SendState> send_state_
+  // Per-key send baselines. Each advances by same-shape copy-assign, which
+  // reuses its allocation.
+  std::unordered_map<std::uint64_t, MatrixF> send_baseline_
+      PSML_GUARDED_BY(send_mutex_);
+  // Delta scratch, one per distinct (rows, cols) rather than per key: a
+  // training run has far fewer shapes than streams. Keying by shape means
+  // streams of different shapes (E and F alternating) never resize it, so
+  // the steady state does no per-send allocation or zero-fill here.
+  std::map<std::pair<std::size_t, std::size_t>, MatrixF> delta_scratch_
       PSML_GUARDED_BY(send_mutex_);
   std::unordered_map<std::uint64_t, MatrixF> recv_baseline_
       PSML_GUARDED_BY(recv_mutex_);

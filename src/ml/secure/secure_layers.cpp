@@ -39,11 +39,13 @@ void SecureDense::plan(std::vector<mpc::TripletSpec>& specs,
                        std::size_t batch, bool training) const {
   const std::size_t in = w_.rows(), out = w_.cols();
   // Consumption order in forward(): Y = X x W, then the staged backward
-  // triplets for dW = X^T x dY and dX = dY x W^T.
+  // triplets for dW = X^T x dY and (not for the input layer) dX = dY x W^T.
   specs.push_back({mpc::TripletKind::kMatMul, batch, in, out});
   if (training) {
     specs.push_back({mpc::TripletKind::kMatMul, in, batch, out});
-    specs.push_back({mpc::TripletKind::kMatMul, batch, out, in});
+    if (!input_layer_) {
+      specs.push_back({mpc::TripletKind::kMatMul, batch, out, in});
+    }
   }
 }
 
@@ -63,14 +65,15 @@ MatrixF SecureDense::forward(SecureEnv& env, const MatrixF& x_i) {
   if (!env.training) return y;
 
   // Stage the backward pass.
-  t_dw_ = ctx.triplets().pop_matmul();
-  t_dx_ = ctx.triplets().pop_matmul();
   x_cache_ = x_i;
-
+  t_dw_ = ctx.triplets().pop_matmul();
   tag_e_dw_ = seq_tag(ctx, mpc::tags::kExchangeE);
-  tag_f_dx_ = seq_tag(ctx, mpc::tags::kExchangeF);
   tag_f_dw_ = seq_tag(ctx, mpc::tags::kExchangeF);
-  tag_e_dx_ = seq_tag(ctx, mpc::tags::kExchangeE);
+  if (!input_layer_) {
+    t_dx_ = ctx.triplets().pop_matmul();
+    tag_f_dx_ = seq_tag(ctx, mpc::tags::kExchangeF);
+    tag_e_dx_ = seq_tag(ctx, mpc::tags::kExchangeE);
+  }
 
   if (env.engine != nullptr) {
     // Fig. 6: the gradient-independent halves of the backward reconstruct
@@ -83,7 +86,6 @@ MatrixF SecureDense::forward(SecureEnv& env, const MatrixF& x_i) {
     auto* self = this;
     auto* pctx = &ctx;
     v_e_dw_ = eng.new_var("dense.e_dw");
-    v_f_dx_ = eng.new_var("dense.f_dx");
     eng.push(
         [self, pctx] {
           self->early_e_dw_ = mpc::open_operand(
@@ -93,15 +95,18 @@ MatrixF SecureDense::forward(SecureEnv& env, const MatrixF& x_i) {
         },
         {}, {v_e_dw_, eng.comm_var()}, pipeline::Exec::lane(),
         "dense.open.e_dw");
-    eng.push(
-        [self, pctx] {
-          self->early_f_dx_ = mpc::open_operand(
-              *pctx, tensor::transpose(self->w_), self->t_dx_.v,
-              self->tag_f_dx_,
-              skey(*pctx, self->layer_id_, kPhaseBackward, 1));
-        },
-        {}, {v_f_dx_, eng.comm_var()}, pipeline::Exec::lane(),
-        "dense.open.f_dx");
+    if (!input_layer_) {
+      v_f_dx_ = eng.new_var("dense.f_dx");
+      eng.push(
+          [self, pctx] {
+            self->early_f_dx_ = mpc::open_operand(
+                *pctx, tensor::transpose(self->w_), self->t_dx_.v,
+                self->tag_f_dx_,
+                skey(*pctx, self->layer_id_, kPhaseBackward, 1));
+          },
+          {}, {v_f_dx_, eng.comm_var()}, pipeline::Exec::lane(),
+          "dense.open.f_dx");
+    }
   }
   return y;
 }
@@ -111,7 +116,6 @@ MatrixF SecureDense::backward(SecureEnv& env, const MatrixF& dy_i) {
   PSML_REQUIRE(dy_i.cols() == w_.cols(), "SecureDense: grad width mismatch");
 
   const MatrixF xt = tensor::transpose(x_cache_);
-  const MatrixF wt = tensor::transpose(w_);
 
   // dW = X^T x dY.
   MatrixF e_dw;
@@ -137,8 +141,10 @@ MatrixF SecureDense::backward(SecureEnv& env, const MatrixF& dy_i) {
   }
   db_batch = mpc::refresh_share(ctx, db_batch);
   tensor::add(db_, db_batch, db_);
+  if (input_layer_) return MatrixF();
 
   // dX = dY x W^T.
+  const MatrixF wt = tensor::transpose(w_);
   MatrixF e_dx = mpc::open_operand(ctx, dy_i, t_dx_.u, tag_e_dx_,
                                    skey(ctx, layer_id_, kPhaseBackward, 3));
   MatrixF f_dx;
@@ -203,7 +209,9 @@ void SecureConv2D::plan(std::vector<mpc::TripletSpec>& specs,
   specs.push_back({mpc::TripletKind::kMatMul, pr, pc, oc});  // forward
   if (training) {
     specs.push_back({mpc::TripletKind::kMatMul, pc, pr, oc});  // dW
-    specs.push_back({mpc::TripletKind::kMatMul, pr, oc, pc});  // dPatches
+    if (!input_layer_) {
+      specs.push_back({mpc::TripletKind::kMatMul, pr, oc, pc});  // dPatches
+    }
   }
 }
 
@@ -220,7 +228,7 @@ MatrixF SecureConv2D::forward(SecureEnv& env, const MatrixF& x_i) {
                          skey(ctx, layer_id_, kPhaseForward, 0));
   if (env.training) {
     t_dw_ = ctx.triplets().pop_matmul();
-    t_dx_ = ctx.triplets().pop_matmul();
+    if (!input_layer_) t_dx_ = ctx.triplets().pop_matmul();
   }
 
   // Rearrange (batch*oh*ow) x out_c into channel-major feature maps.
@@ -256,6 +264,7 @@ MatrixF SecureConv2D::backward(SecureEnv& env, const MatrixF& dy_i) {
   dw_ = mpc::secure_matmul(ctx, tensor::transpose(patches_cache_), flat,
                            t_dw_, skey(ctx, layer_id_, kPhaseBackward, 0));
   dw_ = mpc::refresh_share(ctx, dw_);
+  if (input_layer_) return MatrixF();
   MatrixF dpatches =
       mpc::secure_matmul(ctx, flat, tensor::transpose(w_), t_dx_,
                          skey(ctx, layer_id_, kPhaseBackward, 1));

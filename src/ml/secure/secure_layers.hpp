@@ -8,6 +8,9 @@
 // dependency engine *during the forward pass*, overlapping with the GPU
 // operations of later layers. Only the gradient-dependent halves remain in
 // backward(), which waits on the staged ops' result vars.
+//
+// The model's input layer needs only the first of the two: nothing reads the
+// gradient w.r.t. the data, so it plans, deals and computes no dX.
 #pragma once
 
 #include <memory>
@@ -60,8 +63,18 @@ class SecureLayer {
   // contribute nothing.
   virtual void collect_state(std::vector<MatrixF*>& out) {}
 
+  // True for a model's first layer, whose input gradient nothing reads:
+  // layers with a dX product then plan and consume no triplet for it, and
+  // backward() returns an empty matrix. SecureSequential::add sets it from
+  // the layer's position; a standalone or nested layer keeps its dX.
+  bool input_layer() const { return input_layer_; }
+
  protected:
   std::uint32_t layer_id_ = 0;
+  bool input_layer_ = false;
+
+ private:
+  friend class SecureSequential;
 };
 
 // Fully connected layer on weight shares.
@@ -98,8 +111,9 @@ class SecureDense : public SecureLayer {
   // Result vars of the staged opens; backward() waits on them before
   // reading the matrices above (completion publishes the writes).
   pipeline::VarHandle v_e_dw_, v_f_dx_;
-  // Tags reserved at forward (schedule) time for all four backward halves so
-  // both servers' tag sequences agree regardless of pipeline interleaving.
+  // Tags reserved at forward (schedule) time for all backward halves (two
+  // for the input layer, which has no dX) so both servers' tag sequences
+  // agree regardless of pipeline interleaving.
   net::Tag tag_e_dw_ = 0, tag_f_dw_ = 0, tag_e_dx_ = 0, tag_f_dx_ = 0;
 };
 

@@ -8,6 +8,7 @@ namespace psml::ml {
 
 void SecureSequential::add(std::unique_ptr<SecureLayer> layer) {
   layer->set_layer_id(static_cast<std::uint32_t>(layers_.size() + 1));
+  layer->input_layer_ = layers_.empty();
   layers_.push_back(std::move(layer));
 }
 
@@ -39,12 +40,11 @@ MatrixF SecureSequential::forward(SecureEnv& env, const MatrixF& x_i) {
   return cur;
 }
 
-MatrixF SecureSequential::backward(SecureEnv& env, const MatrixF& dy_i) {
+void SecureSequential::backward(SecureEnv& env, const MatrixF& dy_i) {
   MatrixF cur = dy_i;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
     cur = (*it)->backward(env, cur);
   }
-  return cur;
 }
 
 void SecureSequential::update(float lr) {

@@ -16,6 +16,8 @@ class SecureSequential {
  public:
   SecureSequential() = default;
 
+  // The first layer added becomes the input layer (see
+  // SecureLayer::input_layer).
   void add(std::unique_ptr<SecureLayer> layer);
   std::size_t size() const { return layers_.size(); }
   SecureLayer& layer(std::size_t i) { return *layers_[i]; }
@@ -26,7 +28,9 @@ class SecureSequential {
                   bool training = true) const;
 
   MatrixF forward(SecureEnv& env, const MatrixF& x_i);
-  MatrixF backward(SecureEnv& env, const MatrixF& dy_i);
+  // Accumulates every layer's parameter gradients; the gradient w.r.t. the
+  // input data is never formed.
+  void backward(SecureEnv& env, const MatrixF& dy_i);
   void update(float lr);
 
   // Pointers to every layer's persistent parameter shares, in model order.

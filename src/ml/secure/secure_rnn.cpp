@@ -35,10 +35,12 @@ void SecureRnn::plan(std::vector<mpc::TripletSpec>& specs, std::size_t batch,
   if (!training) return;
   specs.push_back({mpc::TripletKind::kMatMul, hid, batch, out});  // dWo
   specs.push_back({mpc::TripletKind::kMatMul, batch, out, hid});  // dh_T
-  for (std::size_t t = 0; t < steps; ++t) {
+  for (std::size_t t = steps; t-- > 0;) {
     specs.push_back({mpc::TripletKind::kMatMul, in, batch, hid});   // dWx
     specs.push_back({mpc::TripletKind::kMatMul, hid, batch, hid});  // dWh
-    specs.push_back({mpc::TripletKind::kMatMul, batch, hid, hid});  // dh
+    if (t > 0) {
+      specs.push_back({mpc::TripletKind::kMatMul, batch, hid, hid});  // dh
+    }
   }
 }
 
@@ -88,8 +90,12 @@ void SecureRnn::backward(SecureEnv& env, const MatrixF& dout_i) {
     MatrixF gh = mpc::secure_matmul(ctx, tensor::transpose(h_cache_[t]), dz,
                                     skey(ctx, 100 + lt, 1, 1));
     tensor::add(dwh_, gh, dwh_);
-    dh = mpc::secure_matmul(ctx, dz, tensor::transpose(wh_),
-                            skey(ctx, 100 + lt, 1, 2));
+    // At t = 0 dh would be the gradient w.r.t. the constant zero h_0:
+    // nothing reads it, so it is neither planned nor computed.
+    if (t > 0) {
+      dh = mpc::secure_matmul(ctx, dz, tensor::transpose(wh_),
+                              skey(ctx, 100 + lt, 1, 2));
+    }
   }
   refresh_grads(env);
 }

@@ -71,7 +71,12 @@ TEST(ResidualBlock, GradientCheck) {
   }
 }
 
-TEST(SecureResidualBlock, MatchesPlainForwardBackward) {
+// Runs one secure forward/backward of a single-Dense residual block against
+// its plaintext twin, standalone or, with `as_model_input`, as the first
+// layer of a SecureSequential. There it is the model's input layer, but its
+// inner layers are not, so the block must still return a dX that matches
+// plaintext.
+void check_secure_block_matches_plain(bool as_model_input) {
   const std::size_t width = 8, batch = 6;
   const MatrixF w = xavier_init(width, width, 608);
   const MatrixF x = random_matrix(batch, width, 609, -0.2f, 0.2f);
@@ -89,7 +94,7 @@ TEST(SecureResidualBlock, MatchesPlainForwardBackward) {
   // Secure twin.
   auto ws = mpc::share_float(w, 611);
   auto bs = mpc::share_float(MatrixF(1, width, 0.0f), 612);
-  auto make_secure = [&](int party) {
+  auto make_secure = [&](int party) -> std::unique_ptr<SecureLayer> {
     std::vector<std::unique_ptr<SecureLayer>> inner;
     inner.push_back(std::make_unique<SecureDense>(
         party == 0 ? ws.s0 : ws.s1, party == 0 ? bs.s0 : bs.s1));
@@ -98,11 +103,22 @@ TEST(SecureResidualBlock, MatchesPlainForwardBackward) {
     block->set_layer_id(3);
     return block;
   };
-  auto b0 = make_secure(0);
-  auto b1 = make_secure(1);
+  std::unique_ptr<SecureLayer> own0 = make_secure(0), own1 = make_secure(1);
+  SecureLayer& b0 = *own0;
+  SecureLayer& b1 = *own1;
+  SecureSequential m0, m1;
+  if (as_model_input) {
+    m0.add(std::move(own0));
+    m1.add(std::move(own1));
+  }
+  auto& inner0 = dynamic_cast<SecureResidualBlock&>(b0).inner_layer(0);
+  EXPECT_EQ(b0.input_layer(), as_model_input);
+  EXPECT_FALSE(inner0.input_layer());
 
   std::vector<mpc::TripletSpec> plan;
-  b0->plan(plan, batch, /*training=*/true);
+  b0.plan(plan, batch, /*training=*/true);
+  // Inner Dense: forward, dW and dX; then the block activation.
+  ASSERT_EQ(plan.size(), 4u);
   mpc::TripletDealer dealer(nullptr, {false, false, 613});
   auto [st0, st1] = dealer.generate(plan);
   auto xs = mpc::share_float(x, 614);
@@ -117,20 +133,28 @@ TEST(SecureResidualBlock, MatchesPlainForwardBackward) {
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st0));
         SecureEnv env{&ctx, true, nullptr};
-        y0 = b0->forward(env, xs.s0);
-        dx0 = b0->backward(env, dys.s0);
+        y0 = b0.forward(env, xs.s0);
+        dx0 = b0.backward(env, dys.s0);
       },
       [&](mpc::PartyContext& ctx) {
         ctx.set_triplets(std::move(st1));
         SecureEnv env{&ctx, true, nullptr};
-        y1 = b1->forward(env, xs.s1);
-        dx1 = b1->backward(env, dys.s1);
+        y1 = b1.forward(env, xs.s1);
+        dx1 = b1.backward(env, dys.s1);
       });
 
   expect_near(mpc::reconstruct_float(y0, y1), y_ref, 5e-3,
               "secure residual forward");
   expect_near(mpc::reconstruct_float(dx0, dx1), dx_ref, 5e-3,
               "secure residual backward");
+}
+
+TEST(SecureResidualBlock, MatchesPlainForwardBackward) {
+  check_secure_block_matches_plain(/*as_model_input=*/false);
+}
+
+TEST(SecureResidualBlock, InnerLayersKeepDxWhenBlockIsModelInput) {
+  check_secure_block_matches_plain(/*as_model_input=*/true);
 }
 
 TEST(SecureResidualBlock, NestsInSecureSequential) {

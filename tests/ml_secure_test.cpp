@@ -391,5 +391,233 @@ TEST(SecurePlan, InferencePlanSmallerThanTraining) {
   EXPECT_EQ(matmuls, 3u);
 }
 
+
+// The first layer's input gradient is the gradient w.r.t. the data, which
+// nothing reads: it plans dW but no dX. Later layers keep their dX.
+std::size_t planned_matmuls(const SecureLayer& layer, std::size_t batch,
+                            bool training) {
+  std::vector<mpc::TripletSpec> specs;
+  layer.plan(specs, batch, training);
+  std::size_t n = 0;
+  for (const auto& s : specs) n += s.kind == mpc::TripletKind::kMatMul;
+  return n;
+}
+
+TEST(SecurePlan, InputDenseLayerPlansNoDxTriplet) {
+  ModelConfig mc;
+  mc.kind = ModelKind::kMlp;
+  mc.input_dim = 50;
+  mc.classes = 10;
+  auto pair = build_secure_pair(mc);
+  ASSERT_EQ(pair.m0.size(), 5u);  // dense, act, dense, act, dense
+  EXPECT_TRUE(pair.m0.layer(0).input_layer());
+  EXPECT_EQ(planned_matmuls(pair.m0.layer(0), 8, true), 2u);
+  EXPECT_EQ(planned_matmuls(pair.m0.layer(2), 8, true), 3u);
+  EXPECT_EQ(planned_matmuls(pair.m0.layer(4), 8, true), 3u);
+  // Inference plans the forward product only, input layer or not.
+  EXPECT_EQ(planned_matmuls(pair.m0.layer(0), 8, false), 1u);
+  EXPECT_EQ(planned_matmuls(pair.m0.layer(2), 8, false), 1u);
+
+  // The two input-layer specs are Y = X x W and dW = X^T x dY.
+  std::vector<mpc::TripletSpec> specs;
+  pair.m0.layer(0).plan(specs, 8, true);
+  ASSERT_EQ(specs.size(), 2u);
+  EXPECT_EQ(specs[0], (mpc::TripletSpec{mpc::TripletKind::kMatMul, 8, 50,
+                                        128}));
+  EXPECT_EQ(specs[1], (mpc::TripletSpec{mpc::TripletKind::kMatMul, 50, 8,
+                                        128}));
+}
+
+TEST(SecurePlan, InputConvLayerPlansNoDPatchesTriplet) {
+  ModelConfig mc;
+  mc.kind = ModelKind::kCnn;
+  mc.image_h = 10;
+  mc.image_w = 10;
+  mc.channels = 1;
+  mc.input_dim = 100;
+  mc.classes = 10;
+  auto pair = build_secure_pair(mc);
+  ASSERT_NE(dynamic_cast<SecureConv2D*>(&pair.m0.layer(0)), nullptr);
+  EXPECT_EQ(planned_matmuls(pair.m0.layer(0), 4, true), 2u);
+  // The dense layer after the conv still needs dX to reach the conv.
+  ASSERT_NE(dynamic_cast<SecureDense*>(&pair.m0.layer(2)), nullptr);
+  EXPECT_EQ(planned_matmuls(pair.m0.layer(2), 4, true), 3u);
+}
+
+// A standalone SecureDense is not an input layer: its backward returns a dX
+// share that reconstructs to dY x W^T, through both the serial and the
+// engine-staged open of W^T - V.
+TEST(SecureDense, StandaloneBackwardReturnsDx) {
+  const std::size_t batch = 6, in = 10, out = 4;
+  const MatrixF w = xavier_init(in, out, 640);
+  const MatrixF x = random_matrix(batch, in, 641);
+  const MatrixF dy = random_matrix(batch, out, 642, -0.2f, 0.2f);
+  const MatrixF dx_ref = tensor::matmul(dy, tensor::transpose(w));
+  const MatrixF dw_ref = tensor::matmul(tensor::transpose(x), dy);
+
+  for (const bool pipeline : {false, true}) {
+    auto ws = mpc::share_float(w, 643);
+    auto bs = mpc::share_float(MatrixF(1, out, 0.0f), 644);
+    SecureDense l0(ws.s0, bs.s0), l1(ws.s1, bs.s1);
+    ASSERT_FALSE(l0.input_layer());
+    l0.set_layer_id(1);
+    l1.set_layer_id(1);
+    std::vector<mpc::TripletSpec> plan;
+    l0.plan(plan, batch, /*training=*/true);
+    ASSERT_EQ(plan.size(), 3u);
+    auto [st0, st1] = gen_stores(plan, 645);
+    auto xs = mpc::share_float(x, 646);
+    auto dys = mpc::share_float(dy, 647);
+
+    MatrixF dx0, dx1;
+    auto party = [&](mpc::PartyContext& ctx, SecureDense& l,
+                     mpc::TripletStore& st, const MatrixF& xi,
+                     const MatrixF& dyi, MatrixF& dx) {
+      ctx.set_triplets(std::move(st));
+      SecureEnv env{&ctx, true, pipeline ? &ctx.engine() : nullptr};
+      l.forward(env, xi);
+      dx = l.backward(env, dyi);
+      if (env.engine != nullptr) env.engine->wait_all();
+      EXPECT_TRUE(ctx.triplets().empty());
+    };
+    run_parties(
+        cpu_opts(pipeline),
+        [&](mpc::PartyContext& ctx) { party(ctx, l0, st0, xs.s0, dys.s0, dx0); },
+        [&](mpc::PartyContext& ctx) {
+          party(ctx, l1, st1, xs.s1, dys.s1, dx1);
+        });
+    const char* what = pipeline ? "standalone dX (pipelined)"
+                                : "standalone dX (serial)";
+    expect_near(mpc::reconstruct_float(dx0, dx1), dx_ref, 1e-2, what);
+
+    // lr = 1 turns the update into W - dW, which reconstructs to check dW.
+    l0.update(1.0f);
+    l1.update(1.0f);
+    MatrixF w_expect;
+    tensor::sub(w, dw_ref, w_expect);
+    expect_near(mpc::reconstruct_float(l0.weight_share(), l1.weight_share()),
+                w_expect, 1e-2, "standalone dW");
+  }
+}
+
+// Plan/consumption agreement: a consuming (non-recycled) store dealt from
+// exactly one epoch's plan is empty after that epoch. A spec planned but not
+// consumed is left over; one consumed but not planned exhausts the store or
+// mismatches a shape and throws.
+struct PlanCase {
+  ModelKind kind;
+  bool training;
+};
+
+void PrintTo(const PlanCase& c, std::ostream* os) {
+  *os << to_string(c.kind) << (c.training ? "/train" : "/infer");
+}
+
+class PlanConsumption : public ::testing::TestWithParam<PlanCase> {};
+
+TEST_P(PlanConsumption, OneEpochPlanIsConsumedExactly) {
+  const auto [kind, training] = GetParam();
+  const std::size_t batch = 4, n_batches = 2, n = batch * n_batches;
+  ModelConfig mc;
+  mc.kind = kind;
+  mc.seed = 650;
+  mc.classes = kind == ModelKind::kMlp || kind == ModelKind::kCnn ? 10 : 1;
+  if (kind == ModelKind::kCnn) {
+    mc.image_h = 10;
+    mc.image_w = 10;
+    mc.channels = 1;
+    mc.input_dim = 100;
+  } else if (kind == ModelKind::kRnn) {
+    mc.input_dim = 5;
+    mc.rnn_hidden = 4;
+    mc.rnn_steps = 3;
+  } else {
+    mc.input_dim = 20;
+  }
+  const std::size_t width =
+      kind == ModelKind::kRnn ? mc.input_dim * mc.rnn_steps : mc.input_dim;
+  const MatrixF x = random_matrix(n, width, 651, 0.0f, 1.0f);
+  MatrixF y(n, mc.classes, 0.0f);
+  for (std::size_t r = 0; r < n; ++r) {
+    if (kind == ModelKind::kSvm) {
+      y(r, 0) = r % 2 == 0 ? 1.0f : -1.0f;
+    } else {
+      y(r, r % mc.classes) = 1.0f;
+    }
+  }
+  auto xs = mpc::share_float(x, 652);
+  auto ys = mpc::share_float(y, 653);
+  const LossKind loss = loss_for(kind);
+
+  SecurePair pair;
+  SecureRnnPair rnn_pair;
+  std::vector<mpc::TripletSpec> plan;
+  if (kind == ModelKind::kRnn) {
+    rnn_pair = build_secure_rnn_pair(mc);
+    for (std::size_t b = 0; b < n_batches; ++b) {
+      rnn_pair.m0->plan(plan, batch, mc.rnn_steps, training);
+    }
+  } else {
+    pair = build_secure_pair(mc);
+    plan = epoch_plan(pair.m0, n_batches, batch, loss, mc.classes, training);
+  }
+  auto [st0, st1] = gen_stores(plan, 654);
+
+  auto party = [&](mpc::PartyContext& ctx, int id, mpc::TripletStore& st) {
+    ctx.set_triplets(std::move(st));
+    SecureEnv env{&ctx, training, &ctx.engine()};
+    const MatrixF& xi = id == 0 ? xs.s0 : xs.s1;
+    const MatrixF& yi = id == 0 ? ys.s0 : ys.s1;
+    for (std::size_t b = 0; b < n_batches; ++b) {
+      ctx.set_stream_salt(b);
+      const MatrixF xb = data::slice_rows(xi, b * batch, batch);
+      const MatrixF yb = data::slice_rows(yi, b * batch, batch);
+      if (kind == ModelKind::kRnn) {
+        SecureRnn& rnn = id == 0 ? *rnn_pair.m0 : *rnn_pair.m1;
+        const MatrixF pred =
+            rnn.forward(env, data::sequence_view(xb, mc.rnn_steps));
+        if (training) {
+          MatrixF grad;
+          tensor::sub(pred, yb, grad);
+          rnn.backward(env, grad);
+          rnn.update(0.05f);
+        }
+      } else {
+        SecureSequential& model = id == 0 ? pair.m0 : pair.m1;
+        if (training) {
+          secure_train_batch(env, model, loss, xb, yb, 0.05f);
+        } else {
+          secure_infer_batch(env, model, xb);
+        }
+      }
+    }
+    env.engine->wait_all();
+    EXPECT_EQ(ctx.triplets().matmul_size(), 0u) << "party " << id;
+    EXPECT_EQ(ctx.triplets().elementwise_size(), 0u) << "party " << id;
+    EXPECT_EQ(ctx.triplets().activation_size(), 0u) << "party " << id;
+  };
+  run_parties(
+      cpu_opts(/*pipeline=*/true),
+      [&](mpc::PartyContext& ctx) { party(ctx, 0, st0); },
+      [&](mpc::PartyContext& ctx) { party(ctx, 1, st1); });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, PlanConsumption,
+    ::testing::Values(PlanCase{ModelKind::kMlp, true},
+                      PlanCase{ModelKind::kMlp, false},
+                      PlanCase{ModelKind::kCnn, true},
+                      PlanCase{ModelKind::kCnn, false},
+                      PlanCase{ModelKind::kLogistic, true},
+                      PlanCase{ModelKind::kLogistic, false},
+                      PlanCase{ModelKind::kSvm, true},
+                      PlanCase{ModelKind::kSvm, false},
+                      PlanCase{ModelKind::kRnn, true},
+                      PlanCase{ModelKind::kRnn, false}),
+    [](const auto& info) {
+      return to_string(info.param.kind) +
+             (info.param.training ? "_train" : "_infer");
+    });
+
 }  // namespace
 }  // namespace psml::ml
