@@ -3,6 +3,11 @@
 // compression on/off) and the elementwise protocol.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+
+#include "mpc/activation.hpp"
+#include "mpc/ring_protocol.hpp"
 #include "mpc/secure_matmul.hpp"
 #include "mpc/secure_mul.hpp"
 #include "mpc/share.hpp"
@@ -125,39 +130,220 @@ INSTANTIATE_TEST_SUITE_P(Modes, SecureMatmulModes,
                          ::testing::ValuesIn(all_modes()),
                          [](const auto& info) { return info.param.name; });
 
-TEST(SecureMatmul, CoalescedExchangeIsOneMessagePerParty) {
-  // The E/F reconstruction sends both masked operands in ONE coalesced
-  // channel message per direction (half the frames, half the syscalls).
-  const std::size_t m = 8, k = 8, n = 8;
-  const MatrixF a = random_matrix(m, k, 301);
-  const MatrixF b = random_matrix(k, n, 302);
+// ---- Exact wire cost of every secure product kind -------------------------
+//
+// Each protocol op runs once per party over a LocalChannel pair; the table
+// pins the messages and payload bytes each party sends and checks that the
+// outputs reconstruct. Payload sizes follow the wire formats: a dense matrix
+// is a 12-byte header plus its elements (net/serialize.hpp), the compression
+// endpoint prefixes one subkind byte per body, and a coalesced E/F pair adds
+// a 5-byte [kPair][u32 len_a] prefix (compress/compressed_channel.hpp).
 
+std::uint64_t dense_f32(std::size_t r, std::size_t c) { return 12 + 4 * r * c; }
+std::uint64_t dense_u64(std::size_t r, std::size_t c) { return 12 + 8 * r * c; }
+std::uint64_t body_bytes(std::size_t r, std::size_t c) { return 1 + dense_f32(r, c); }
+std::uint64_t pair_bytes(std::uint64_t a, std::uint64_t b) { return 5 + a + b; }
+
+struct WireCount {
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
+  bool operator==(const WireCount&) const = default;
+};
+void PrintTo(const WireCount& w, std::ostream* os) {
+  *os << w.messages << " msg / " << w.bytes << " B";
+}
+using Sent = std::array<WireCount, 2>;
+
+constexpr std::size_t kM = 4, kK = 6, kN = 5;
+
+// Runs `op` as both parties (it picks its shares by ctx.id()) and returns
+// what each party put on the wire.
+Sent run_counted(const std::function<void(PartyContext&)>& op) {
   PartyOptions opts = PartyOptions::parsecureml();
   opts.use_gpu = false;
   opts.adaptive = false;
+  Sent sent;
+  const auto counted = [&](PartyContext& ctx) {
+    op(ctx);
+    const auto& s = ctx.peer().stats();
+    sent[static_cast<std::size_t>(ctx.id())] = {s.messages_sent.load(),
+                                                s.bytes_sent.load()};
+  };
+  run_parties(opts, counted, counted);
+  return sent;
+}
 
+template <typename T>
+const Matrix<T>& half(const SharePair<T>& p, int i) {
+  return i == 0 ? p.s0 : p.s1;
+}
+template <typename T>
+const T& half(const std::pair<T, T>& p, int i) {
+  return i == 0 ? p.first : p.second;
+}
+
+Sent wire_secure_matmul() {
+  const MatrixF a = random_matrix(kM, kK, 301);
+  const MatrixF b = random_matrix(kK, kN, 302);
   TripletDealer dealer(nullptr, {false, false, 77});
-  auto [t0, t1] = dealer.make_matmul(m, k, n);
+  const auto t = dealer.make_matmul(kM, kK, kN);
   const auto sa = share_float(a, 21);
   const auto sb = share_float(b, 22);
-
-  MatrixF c0, c1;
-  std::uint64_t sent0 = 0, sent1 = 0;
-  run_parties(
-      opts,
-      [&](PartyContext& ctx) {
-        c0 = secure_matmul(ctx, sa.s0, sb.s0, t0);
-        sent0 = ctx.peer().stats().messages_sent.load();
-      },
-      [&](PartyContext& ctx) {
-        c1 = secure_matmul(ctx, sa.s1, sb.s1, t1);
-        sent1 = ctx.peer().stats().messages_sent.load();
-      });
-
-  EXPECT_EQ(sent0, 1u);
-  EXPECT_EQ(sent1, 1u);
-  expect_near(reconstruct_float(c0, c1), tensor::matmul(a, b), tol(k));
+  MatrixF c[2];
+  const Sent sent = run_counted([&](PartyContext& ctx) {
+    const int i = ctx.id();
+    c[i] = secure_matmul(ctx, half(sa, i), half(sb, i), half(t, i));
+  });
+  expect_near(reconstruct_float(c[0], c[1]), tensor::matmul(a, b), tol(kK));
+  return sent;
 }
+
+Sent wire_secure_mul() {
+  const MatrixF x = random_matrix(kM, kN, 303);
+  const MatrixF y = random_matrix(kM, kN, 304);
+  TripletDealer dealer(nullptr, {false, false, 78});
+  const auto t = dealer.make_elementwise(kM, kN);
+  const auto sx = share_float(x, 23);
+  const auto sy = share_float(y, 24);
+  MatrixF c[2];
+  const Sent sent = run_counted([&](PartyContext& ctx) {
+    const int i = ctx.id();
+    c[i] = secure_mul(ctx, half(sx, i), half(sy, i), half(t, i));
+  });
+  MatrixF expected;
+  tensor::hadamard(x, y, expected);
+  expect_near(reconstruct_float(c[0], c[1]), expected, 1e-3);
+  return sent;
+}
+
+Sent wire_secure_activation() {
+  const MatrixF x = random_matrix(kM, kN, 305, -2.0f, 2.0f);
+  TripletDealer dealer(nullptr, {false, false, 79});
+  const auto mat = dealer.make_activation(kM, kN);
+  const auto sx = share_float(x, 25);
+  ActivationResult r[2];
+  const Sent sent = run_counted([&](PartyContext& ctx) {
+    const int i = ctx.id();
+    r[i] = secure_activation(ctx, half(sx, i), half(mat, i));
+  });
+  expect_near(reconstruct_float(r[0].value_share, r[1].value_share),
+              activation_ref(x), 2e-3, "activation value");
+  expect_near(r[0].grad_mask, activation_grad_ref(x), 0.0, "p0 mask");
+  expect_near(r[1].grad_mask, activation_grad_ref(x), 0.0, "p1 mask");
+  return sent;
+}
+
+Sent wire_secure_less_than() {
+  const MatrixF x = random_matrix(kM, kN, 306, -2.0f, 2.0f);
+  TripletDealer dealer(nullptr, {false, false, 80});
+  const auto mat = dealer.make_activation(kM, kN);
+  const auto sx = share_float(x, 26);
+  MatrixF mask[2];
+  const Sent sent = run_counted([&](PartyContext& ctx) {
+    const int i = ctx.id();
+    mask[i] = secure_less_than(ctx, half(sx, i), 0.25f, half(mat, i));
+  });
+  MatrixF expected(kM, kN);
+  for (std::size_t idx = 0; idx < x.size(); ++idx) {
+    expected.data()[idx] = x.data()[idx] < 0.25f ? 1.0f : 0.0f;
+  }
+  expect_near(mask[0], expected, 0.0, "p0 mask");
+  expect_near(mask[1], expected, 0.0, "p1 mask");
+  return sent;
+}
+
+Sent wire_open_operand() {
+  const MatrixF x = random_matrix(kM, kK, 307);
+  TripletDealer dealer(nullptr, {false, false, 81});
+  const auto t = dealer.make_matmul(kM, kK, kN);
+  const auto sx = share_float(x, 27);
+  MatrixF opened[2];
+  const Sent sent = run_counted([&](PartyContext& ctx) {
+    const int i = ctx.id();
+    const net::Tag tag = tags::kExchangeE + ctx.next_seq();
+    opened[i] = open_operand(ctx, half(sx, i), half(t, i).u, tag, 4243);
+  });
+  MatrixF expected;
+  tensor::sub(x, reconstruct_float(t.first.u, t.second.u), expected);
+  expect_near(opened[0], expected, 1e-4, "p0 open");
+  expect_near(opened[1], opened[0], 0.0, "both parties open the same value");
+  return sent;
+}
+
+Sent wire_refresh_share() {
+  const MatrixF x = random_matrix(kM, kN, 308);
+  const auto sx = share_float(x, 28);
+  MatrixF r[2];
+  const Sent sent = run_counted([&](PartyContext& ctx) {
+    const int i = ctx.id();
+    r[i] = refresh_share(ctx, half(sx, i));
+  });
+  expect_near(reconstruct_float(r[0], r[1]), x, 1e-4);
+  return sent;
+}
+
+Sent wire_secure_matmul_ring() {
+  const MatrixF a = random_matrix(kM, kK, 309);
+  const MatrixF b = random_matrix(kK, kN, 310);
+  const auto sa = share_ring(encode_fixed(a), 29);
+  const auto sb = share_ring(encode_fixed(b), 30);
+  const auto t = make_ring_matmul_triplet(kM, kK, kN, 31);
+  MatrixU64 c[2];
+  const Sent sent = run_counted([&](PartyContext& ctx) {
+    const int i = ctx.id();
+    c[i] = secure_matmul_ring(ctx, half(sa, i), half(sb, i), half(t, i));
+  });
+  expect_near(decode_fixed(reconstruct_ring(c[0], c[1])), tensor::matmul(a, b),
+              static_cast<double>(kK + 4) * 2.0 / kFixedScale);
+  return sent;
+}
+
+struct WireCase {
+  const char* name;
+  Sent (*run)();
+  Sent expected;
+};
+void PrintTo(const WireCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<WireCase> wire_cases() {
+  // One coalesced E/F frame per product; activation and less-than add raw
+  // dense opens of the masked products; refresh is one-way.
+  const WireCount mm{1, pair_bytes(body_bytes(kM, kK), body_bytes(kK, kN))};
+  const WireCount mul{1, pair_bytes(body_bytes(kM, kN), body_bytes(kM, kN))};
+  const WireCount open{1, dense_f32(kM, kN)};
+  return {
+      {"secure_matmul", wire_secure_matmul, {mm, mm}},
+      {"secure_mul", wire_secure_mul, {mul, mul}},
+      {"secure_activation",
+       wire_secure_activation,
+       {WireCount{4, 2 * (mul.bytes + open.bytes)},
+        WireCount{4, 2 * (mul.bytes + open.bytes)}}},
+      {"secure_less_than",
+       wire_secure_less_than,
+       {WireCount{2, mul.bytes + open.bytes},
+        WireCount{2, mul.bytes + open.bytes}}},
+      {"open_operand",
+       wire_open_operand,
+       {WireCount{1, body_bytes(kM, kK)}, WireCount{1, body_bytes(kM, kK)}}},
+      {"refresh_share", wire_refresh_share, {open, WireCount{0, 0}}},
+      {"secure_matmul_ring",
+       wire_secure_matmul_ring,
+       {WireCount{2, dense_u64(kM, kK) + dense_u64(kK, kN)},
+        WireCount{2, dense_u64(kM, kK) + dense_u64(kK, kN)}}},
+  };
+}
+
+class ProtocolWire : public ::testing::TestWithParam<WireCase> {};
+
+TEST_P(ProtocolWire, ExactMessagesAndBytesPerParty) {
+  const WireCase& c = GetParam();
+  const Sent sent = c.run();
+  EXPECT_EQ(sent[0], c.expected[0]) << "party 0";
+  EXPECT_EQ(sent[1], c.expected[1]) << "party 1";
+}
+
+INSTANTIATE_TEST_SUITE_P(Ops, ProtocolWire, ::testing::ValuesIn(wire_cases()),
+                         [](const auto& info) { return info.param.name; });
 
 TEST(SecureMatmul, LargeProductOnDeviceKeepsFloatAccuracy) {
   // 2 * 128 * 256 * 256 = 2^24 flops, forced onto the device. Float shares
