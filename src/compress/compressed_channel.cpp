@@ -114,11 +114,15 @@ MatrixF Endpoint::decode_body(std::uint64_t key, const std::uint8_t* data,
             "compressed recv: delta received with no baseline for key " +
             std::to_string(key));
       }
-      MatrixF delta = net::decode_matrix_f32(body, body_size);
-      if (!delta.same_shape(it->second)) {
+      // The delta's dims are checked against the baseline before anything
+      // dense is touched, and it is applied in place: a forged header never
+      // sizes an allocation.
+      const sparse::Csr delta = net::decode_csr(body, body_size);
+      if (delta.rows() != it->second.rows() ||
+          delta.cols() != it->second.cols()) {
         throw ProtocolError("compressed recv: delta shape drifted");
       }
-      tensor::add(it->second, delta, it->second);
+      delta.add_to(it->second);
       return it->second;
     }
     default:

@@ -28,7 +28,9 @@ void SecureRnn::plan(std::vector<mpc::TripletSpec>& specs, std::size_t batch,
   const std::size_t out = wo_.cols();
   for (std::size_t t = 0; t < steps; ++t) {
     specs.push_back({mpc::TripletKind::kMatMul, batch, in, hid});   // x Wx
-    specs.push_back({mpc::TripletKind::kMatMul, batch, hid, hid});  // h Wh
+    if (t > 0) {
+      specs.push_back({mpc::TripletKind::kMatMul, batch, hid, hid});  // h Wh
+    }
     specs.push_back({mpc::TripletKind::kActivation, batch, 0, hid});
   }
   specs.push_back({mpc::TripletKind::kMatMul, batch, hid, out});  // h_T Wo
@@ -37,8 +39,8 @@ void SecureRnn::plan(std::vector<mpc::TripletSpec>& specs, std::size_t batch,
   specs.push_back({mpc::TripletKind::kMatMul, batch, out, hid});  // dh_T
   for (std::size_t t = steps; t-- > 0;) {
     specs.push_back({mpc::TripletKind::kMatMul, in, batch, hid});   // dWx
-    specs.push_back({mpc::TripletKind::kMatMul, hid, batch, hid});  // dWh
     if (t > 0) {
+      specs.push_back({mpc::TripletKind::kMatMul, hid, batch, hid});  // dWh
       specs.push_back({mpc::TripletKind::kMatMul, batch, hid, hid});  // dh
     }
   }
@@ -56,12 +58,15 @@ MatrixF SecureRnn::forward(SecureEnv& env, const std::vector<MatrixF>& xs_i) {
 
   for (std::size_t t = 0; t < xs_i.size(); ++t) {
     const std::uint32_t lt = static_cast<std::uint32_t>(t);
-    MatrixF zx = mpc::secure_matmul(ctx, xs_i[t], wx_,
-                                    skey(ctx, 100 + lt, 0, 0));
-    MatrixF zh = mpc::secure_matmul(ctx, h_cache_.back(), wh_,
-                                    skey(ctx, 100 + lt, 0, 1));
-    MatrixF z;
-    tensor::add(zx, zh, z);
+    MatrixF z = mpc::secure_matmul(ctx, xs_i[t], wx_,
+                                   skey(ctx, 100 + lt, 0, 0));
+    // h_0 is the public zero both parties build locally, so h_0 Wh is known
+    // to be zero: the t = 0 product is neither planned nor computed.
+    if (t > 0) {
+      MatrixF zh = mpc::secure_matmul(ctx, h_cache_.back(), wh_,
+                                      skey(ctx, 100 + lt, 0, 1));
+      tensor::add(z, zh, z);
+    }
     auto act = mpc::secure_activation(ctx, z, skey(ctx, 100 + lt, 0, 2));
     h_cache_.push_back(std::move(act.value_share));
     mask_cache_.push_back(std::move(act.grad_mask));
@@ -87,12 +92,13 @@ void SecureRnn::backward(SecureEnv& env, const MatrixF& dout_i) {
     MatrixF gx = mpc::secure_matmul(ctx, tensor::transpose(xs_cache_[t]), dz,
                                     skey(ctx, 100 + lt, 1, 0));
     tensor::add(dwx_, gx, dwx_);
-    MatrixF gh = mpc::secure_matmul(ctx, tensor::transpose(h_cache_[t]), dz,
-                                    skey(ctx, 100 + lt, 1, 1));
-    tensor::add(dwh_, gh, dwh_);
-    // At t = 0 dh would be the gradient w.r.t. the constant zero h_0:
-    // nothing reads it, so it is neither planned nor computed.
+    // At t = 0 the dWh term h_0^T dz is zero (h_0 is the public zero) and dh
+    // would be the gradient w.r.t. that constant, which nothing reads:
+    // neither product is planned or computed.
     if (t > 0) {
+      MatrixF gh = mpc::secure_matmul(ctx, tensor::transpose(h_cache_[t]), dz,
+                                      skey(ctx, 100 + lt, 1, 1));
+      tensor::add(dwh_, gh, dwh_);
       dh = mpc::secure_matmul(ctx, dz, tensor::transpose(wh_),
                               skey(ctx, 100 + lt, 1, 2));
     }

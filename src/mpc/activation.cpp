@@ -1,8 +1,8 @@
 #include "mpc/activation.hpp"
 
-#include <future>
-
+#include "mpc/secure_matmul.hpp"
 #include "mpc/secure_mul.hpp"
+#include "net/serialize.hpp"
 #include "profile/profiler.hpp"
 #include "tensor/ops.hpp"
 
@@ -14,17 +14,10 @@ namespace {
 MatrixF open_shares(PartyContext& ctx, const MatrixF& mine, net::Tag tag) {
   // Opened values are fresh random-looking masks every epoch; delta
   // compression cannot help, so bypass it with a raw dense send.
-  std::future<void> sent;
-  if (ctx.peer().send_may_block()) {
-    sent = std::async(std::launch::async, [&] {
-      ctx.peer().send(tag, net::encode_matrix(mine));
-    });
-  } else {
-    ctx.peer().send(tag, net::encode_matrix(mine));
-  }
-  const net::Message msg = ctx.peer().recv(tag);
-  if (sent.valid()) sent.get();
-  MatrixF theirs = net::decode_matrix_f32(msg.payload.data(), msg.payload.size());
+  MatrixF theirs;
+  exchange(
+      ctx, [&] { net::send_matrix(ctx.peer(), tag, mine); },
+      [&] { theirs = net::recv_matrix_f32(ctx.peer(), tag); });
   MatrixF out;
   tensor::add(mine, theirs, out);
   return out;

@@ -1,28 +1,10 @@
 #include "mpc/ring_protocol.hpp"
 
-#include <future>
-
+#include "mpc/secure_matmul.hpp"
 #include "net/serialize.hpp"
 #include "profile/profiler.hpp"
 
 namespace psml::mpc {
-
-namespace {
-
-MatrixU64 exchange_u64(PartyContext& ctx, net::Tag tag, const MatrixU64& mine) {
-  if (!ctx.peer().send_may_block()) {
-    net::send_matrix(ctx.peer(), tag, mine);
-    return net::recv_matrix_u64(ctx.peer(), tag);
-  }
-  auto sent = std::async(std::launch::async, [&] {
-    net::send_matrix(ctx.peer(), tag, mine);
-  });
-  MatrixU64 theirs = net::recv_matrix_u64(ctx.peer(), tag);
-  sent.get();
-  return theirs;
-}
-
-}  // namespace
 
 std::pair<RingTripletShare, RingTripletShare> make_ring_matmul_triplet(
     std::size_t m, std::size_t k, std::size_t n, std::uint64_t seed) {
@@ -59,10 +41,20 @@ MatrixU64 secure_matmul_ring(PartyContext& ctx, const MatrixU64& a_i,
   MatrixU64 e, f;
   {
     profile::ScopedPhase sp(prof, "online.communicate");
+    // Two raw u64 frames, E then F, on their own tag families.
     const net::Tag te = tags::kExchangeE + (seq & 0x00ffffffu);
     const net::Tag tf = tags::kExchangeF + (seq & 0x00ffffffu);
-    MatrixU64 e_peer = exchange_u64(ctx, te, e_i);
-    MatrixU64 f_peer = exchange_u64(ctx, tf, f_i);
+    MatrixU64 e_peer, f_peer;
+    exchange(
+        ctx,
+        [&] {
+          net::send_matrix(ctx.peer(), te, e_i);
+          net::send_matrix(ctx.peer(), tf, f_i);
+        },
+        [&] {
+          e_peer = net::recv_matrix_u64(ctx.peer(), te);
+          f_peer = net::recv_matrix_u64(ctx.peer(), tf);
+        });
     e = reconstruct_ring(e_i, e_peer);
     f = reconstruct_ring(f_i, f_peer);
   }

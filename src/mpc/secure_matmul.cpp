@@ -18,42 +18,19 @@ namespace psml::mpc {
 
 namespace {
 
-// Concurrent send/recv so neither TCP endpoint can deadlock on full socket
-// buffers when both parties transmit large shares simultaneously. In-process
-// channels never block on send, so they take the cheap inline path (no
-// thread spawn per exchange).
-MatrixF exchange(PartyContext& ctx, net::Tag tag, std::uint64_t key,
-                 const MatrixF& mine) {
-  if (!ctx.peer().send_may_block()) {
-    ctx.compressed().send(tag, key, mine);
-    return ctx.compressed().recv(tag, key);
-  }
-  auto sent = std::async(std::launch::async, [&] {
-    ctx.compressed().send(tag, key, mine);
-  });
-  MatrixF theirs = ctx.compressed().recv(tag, key);
-  sent.get();
-  return theirs;
-}
+// Elementwise kernels picked once by cpu_parallel. Each serial/parallel
+// pair computes every element the same way, so the pick moves no result.
+struct Elementwise {
+  void (*add)(const MatrixF&, const MatrixF&, MatrixF&);
+  void (*sub)(const MatrixF&, const MatrixF&, MatrixF&);
+  void (*scale)(const MatrixF&, float, MatrixF&);
+};
 
-// Coalesced exchange of the (E_i, F_i) pair: ONE frame out, ONE frame in per
-// reconstruct step instead of two each way. Same deadlock-avoidance shape as
-// exchange() above.
-std::pair<MatrixF, MatrixF> exchange_pair(PartyContext& ctx, net::Tag tag,
-                                          std::uint64_t key_a,
-                                          const MatrixF& a,
-                                          std::uint64_t key_b,
-                                          const MatrixF& b) {
-  if (!ctx.peer().send_may_block()) {
-    ctx.compressed().send_pair(tag, key_a, a, key_b, b);
-    return ctx.compressed().recv_pair(tag, key_a, key_b);
+Elementwise elementwise(const PartyOptions& o) {
+  if (o.cpu_parallel) {
+    return {tensor::add_par, tensor::sub_par, tensor::scale_par};
   }
-  auto sent = std::async(std::launch::async, [&] {
-    ctx.compressed().send_pair(tag, key_a, a, key_b, b);
-  });
-  auto theirs = ctx.compressed().recv_pair(tag, key_a, key_b);
-  sent.get();
-  return theirs;
+  return {tensor::add<float>, tensor::sub<float>, tensor::scale<float>};
 }
 
 // CPU evaluation of the online combination (Eq. 6 or fused Eq. 8).
@@ -61,48 +38,31 @@ MatrixF compute_ci_cpu(PartyContext& ctx, const MatrixF& e, const MatrixF& f,
                        const MatrixF& a_i, const MatrixF& b_i,
                        const MatrixF& z_i) {
   const auto& o = ctx.options();
-  const float neg_i = -static_cast<float>(ctx.id());
+  const Elementwise ew = elementwise(o);
   MatrixF c(a_i.rows(), b_i.cols());
 
   if (o.fuse_eq8) {
-    // D = (-i) * E + A_i;  C = D x F + E x B_i + Z_i   (two GEMMs)
+    // D = (-i) * E + A_i;  C = D x F + E x B_i + Z_i   (two GEMMs).
+    // gemm_blocked and gemm_parallel are bit-identical (tensor/gemm.hpp).
+    auto gemm = o.cpu_parallel ? tensor::gemm_parallel : tensor::gemm_blocked;
     MatrixF d;
-    if (o.cpu_parallel) {
-      d.resize(e.rows(), e.cols());
-      tensor::scale_par(e, neg_i, d);
-      tensor::add_par(d, a_i, d);
-      tensor::gemm_parallel(1.0f, d, tensor::Trans::kNo, f, tensor::Trans::kNo,
-                            0.0f, c);
-      tensor::gemm_parallel(1.0f, e, tensor::Trans::kNo, b_i,
-                            tensor::Trans::kNo, 1.0f, c);
-      tensor::add_par(c, z_i, c);
+    ew.scale(e, -static_cast<float>(ctx.id()), d);
+    ew.add(d, a_i, d);
+    gemm(1.0f, d, tensor::Trans::kNo, f, tensor::Trans::kNo, 0.0f, c);
+    gemm(1.0f, e, tensor::Trans::kNo, b_i, tensor::Trans::kNo, 1.0f, c);
+  } else {
+    // Literal Eq. 6: C = (-i) ExF + A_i x F + E x B_i + Z_i (three GEMMs).
+    // Baseline mode uses the naive kernel throughout (single-thread SecureML).
+    auto gemm = o.cpu_parallel ? tensor::gemm_parallel : tensor::gemm_naive;
+    if (ctx.id() == 1) {
+      gemm(-1.0f, e, tensor::Trans::kNo, f, tensor::Trans::kNo, 0.0f, c);
     } else {
-      tensor::scale(e, neg_i, d);
-      tensor::add(d, a_i, d);
-      tensor::gemm_blocked(1.0f, d, tensor::Trans::kNo, f, tensor::Trans::kNo,
-                           0.0f, c);
-      tensor::gemm_blocked(1.0f, e, tensor::Trans::kNo, b_i, tensor::Trans::kNo,
-                           1.0f, c);
-      tensor::add(c, z_i, c);
+      c.fill(0.0f);
     }
-    return c;
+    gemm(1.0f, a_i, tensor::Trans::kNo, f, tensor::Trans::kNo, 1.0f, c);
+    gemm(1.0f, e, tensor::Trans::kNo, b_i, tensor::Trans::kNo, 1.0f, c);
   }
-
-  // Literal Eq. 6: C = (-i) ExF + A_i x F + E x B_i + Z_i (three GEMMs).
-  // Baseline mode uses the naive kernel throughout (single-thread SecureML).
-  auto gemm = o.cpu_parallel ? tensor::gemm_parallel : tensor::gemm_naive;
-  if (ctx.id() == 1) {
-    gemm(-1.0f, e, tensor::Trans::kNo, f, tensor::Trans::kNo, 0.0f, c);
-  } else {
-    c.fill(0.0f);
-  }
-  gemm(1.0f, a_i, tensor::Trans::kNo, f, tensor::Trans::kNo, 1.0f, c);
-  gemm(1.0f, e, tensor::Trans::kNo, b_i, tensor::Trans::kNo, 1.0f, c);
-  if (o.cpu_parallel) {
-    tensor::add_par(c, z_i, c);
-  } else {
-    tensor::add(c, z_i, c);
-  }
+  ew.add(c, z_i, c);
   return c;
 }
 
@@ -180,28 +140,35 @@ MatrixF compute_ci_gpu(PartyContext& ctx, const MatrixF& e, const MatrixF& f,
 
 }  // namespace
 
+void exchange(PartyContext& ctx, const std::function<void()>& send,
+              const std::function<void()>& recv) {
+  if (!ctx.peer().send_may_block()) {
+    send();
+    recv();
+    return;
+  }
+  auto sent = std::async(std::launch::async, [&send] { send(); });
+  recv();
+  sent.get();
+}
+
 Reconstructed reconstruct_ef(PartyContext& ctx, const MatrixF& a_i,
                              const MatrixF& b_i, const TripletShare& triplet,
-                             std::uint64_t comm_key) {
+                             std::uint64_t comm_key, std::uint32_t key_space) {
   PSML_REQUIRE(a_i.same_shape(triplet.u) && b_i.same_shape(triplet.v),
-               "secure_matmul: triplet shape does not match operands");
+               "reconstruct_ef: triplet shape does not match operands");
   auto& prof = profile::Profiler::global();
-  const auto& o = ctx.options();
+  const Elementwise ew = elementwise(ctx.options());
   const std::uint32_t seq = ctx.next_seq();
   const std::uint64_t key =
-      comm_key != 0 ? comm_key : (std::uint64_t{0xEF00} << 32) | seq;
+      comm_key != 0 ? comm_key : (std::uint64_t{key_space} << 32) | seq;
 
   // compute1: E_i = A_i - U_i, F_i = B_i - V_i
   MatrixF e_i, f_i;
   {
     profile::ScopedPhase sp(prof, "online.compute1");
-    if (o.cpu_parallel) {
-      tensor::sub_par(a_i, triplet.u, e_i);
-      tensor::sub_par(b_i, triplet.v, f_i);
-    } else {
-      tensor::sub(a_i, triplet.u, e_i);
-      tensor::sub(b_i, triplet.v, f_i);
-    }
+    ew.sub(a_i, triplet.u, e_i);
+    ew.sub(b_i, triplet.v, f_i);
   }
 
   // communicate: exchange E_i / F_i, sum to E / F.
@@ -214,14 +181,13 @@ Reconstructed reconstruct_ef(PartyContext& ctx, const MatrixF& a_i,
     // each half keeps its own compression stream key (key^1 / key^2) exactly
     // as the former split sends did.
     const net::Tag te = tags::kExchangeE + (seq & 0x00ffffffu);
-    auto [e_peer, f_peer] = exchange_pair(ctx, te, key ^ 0x1, e_i, key ^ 0x2, f_i);
-    if (o.cpu_parallel) {
-      tensor::add_par(e_i, e_peer, ef.e);
-      tensor::add_par(f_i, f_peer, ef.f);
-    } else {
-      tensor::add(e_i, e_peer, ef.e);
-      tensor::add(f_i, f_peer, ef.f);
-    }
+    std::pair<MatrixF, MatrixF> peer;
+    exchange(
+        ctx,
+        [&] { ctx.compressed().send_pair(te, key ^ 0x1, e_i, key ^ 0x2, f_i); },
+        [&] { peer = ctx.compressed().recv_pair(te, key ^ 0x1, key ^ 0x2); });
+    ew.add(e_i, peer.first, ef.e);
+    ew.add(f_i, peer.second, ef.f);
   }
   return ef;
 }
@@ -253,19 +219,19 @@ MatrixF open_operand(PartyContext& ctx, const MatrixF& share,
   PSML_REQUIRE(share.same_shape(mask_share),
                "open_operand: mask shape mismatch");
   auto& prof = profile::Profiler::global();
+  const Elementwise ew = elementwise(ctx.options());
   MatrixF diff;
   {
     profile::ScopedPhase sp(prof, "online.compute1");
-    if (ctx.options().cpu_parallel) {
-      tensor::sub_par(share, mask_share, diff);
-    } else {
-      tensor::sub(share, mask_share, diff);
-    }
+    ew.sub(share, mask_share, diff);
   }
   profile::ScopedPhase sp(prof, "online.communicate");
-  MatrixF peer = exchange(ctx, tag, comm_key, diff);
+  MatrixF peer;
+  exchange(
+      ctx, [&] { ctx.compressed().send(tag, comm_key, diff); },
+      [&] { peer = ctx.compressed().recv(tag, comm_key); });
   MatrixF out;
-  tensor::add(diff, peer, out);
+  ew.add(diff, peer, out);
   return out;
 }
 
@@ -290,7 +256,7 @@ MatrixF refresh_share(PartyContext& ctx, const MatrixF& x_i) {
   profile::ScopedPhase sp(prof, "online.communicate");
   const std::uint32_t seq = ctx.next_seq();
   const net::Tag tag = tags::kControl + 0x200000u + (seq & 0x000fffffu);
-  const bool par = ctx.options().cpu_parallel;
+  const Elementwise ew = elementwise(ctx.options());
   if (ctx.id() == 0) {
     // Fresh entropy per refresh in production; with PartyOptions::mask_seed
     // set, a stream keyed by the op sequence number — the counter is
@@ -304,21 +270,13 @@ MatrixF refresh_share(PartyContext& ctx, const MatrixF& x_i) {
     MatrixF fresh(x_i.rows(), x_i.cols());
     rng::fill_uniform_par(fresh, -kFloatMaskRadius, kFloatMaskRadius, seed);
     MatrixF masked;
-    if (par) {
-      tensor::sub_par(x_i, fresh, masked);
-    } else {
-      tensor::sub(x_i, fresh, masked);
-    }
+    ew.sub(x_i, fresh, masked);
     net::send_matrix(ctx.peer(), tag, masked);
     return fresh;
   }
   MatrixF masked = net::recv_matrix_f32(ctx.peer(), tag);
   MatrixF out;
-  if (par) {
-    tensor::add_par(x_i, masked, out);
-  } else {
-    tensor::add(x_i, masked, out);
-  }
+  ew.add(x_i, masked, out);
   return out;
 }
 

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "mpc/party.hpp"
 #include "tensor/matrix.hpp"
@@ -36,14 +37,29 @@ MatrixF secure_matmul(PartyContext& ctx, const MatrixF& a_i,
 MatrixF secure_matmul(PartyContext& ctx, const MatrixF& a_i,
                       const MatrixF& b_i, std::uint64_t comm_key = 0);
 
-// The reconstruct step alone (E, F from shares): exposed for the layer-level
-// pipeline, which interleaves reconstructs and GPU ops across layers.
+// The one exchange of the online phase: runs `send` (this party's frames to
+// the peer) and `recv` (the peer's frames to this party) so that neither TCP
+// endpoint can deadlock on full socket buffers when both parties transmit
+// large shares at once. Channels whose send may block get the send on a
+// helper thread; in-process channels never block on send and run both
+// inline, with no thread spawn per exchange. Every protocol message in
+// src/mpc that both parties send to each other goes through here.
+void exchange(PartyContext& ctx, const std::function<void()>& send,
+              const std::function<void()>& recv);
+
+// The reconstruct step alone (E, F from shares): E_i = A_i - U_i and
+// F_i = B_i - V_i travel coalesced in one frame per direction and are summed
+// to E, F. secure_matmul and secure_mul share it; the layer-level pipeline
+// calls it directly to interleave reconstructs and GPU ops across layers.
+// `comm_key` 0 derives a one-shot key (key_space << 32 | seq); secure_mul
+// passes its own key space so its streams never alias a matmul's.
 struct Reconstructed {
   MatrixF e, f;
 };
 Reconstructed reconstruct_ef(PartyContext& ctx, const MatrixF& a_i,
                              const MatrixF& b_i, const TripletShare& triplet,
-                             std::uint64_t comm_key);
+                             std::uint64_t comm_key,
+                             std::uint32_t key_space = 0xEF00);
 
 // The compute step alone, given reconstructed E/F.
 MatrixF compute_ci(PartyContext& ctx, const Reconstructed& ef,

@@ -1,76 +1,24 @@
 #include "mpc/secure_mul.hpp"
 
-#include <future>
-#include <utility>
-
+#include "mpc/secure_matmul.hpp"
 #include "profile/profiler.hpp"
-#include "tensor/ops.hpp"
 
 namespace psml::mpc {
-
-namespace {
-
-// Coalesced (E_i, F_i) exchange — one frame per direction, mirroring
-// secure_matmul's reconstruct step.
-std::pair<MatrixF, MatrixF> exchange_pair(PartyContext& ctx, net::Tag tag,
-                                          std::uint64_t key_a,
-                                          const MatrixF& a,
-                                          std::uint64_t key_b,
-                                          const MatrixF& b) {
-  if (!ctx.peer().send_may_block()) {
-    ctx.compressed().send_pair(tag, key_a, a, key_b, b);
-    return ctx.compressed().recv_pair(tag, key_a, key_b);
-  }
-  auto sent = std::async(std::launch::async, [&] {
-    ctx.compressed().send_pair(tag, key_a, a, key_b, b);
-  });
-  auto theirs = ctx.compressed().recv_pair(tag, key_a, key_b);
-  sent.get();
-  return theirs;
-}
-
-}  // namespace
 
 MatrixF secure_mul(PartyContext& ctx, const MatrixF& x_i, const MatrixF& y_i,
                    const TripletShare& triplet, std::uint64_t comm_key) {
   PSML_REQUIRE(x_i.same_shape(y_i), "secure_mul: operand shape mismatch");
-  PSML_REQUIRE(x_i.same_shape(triplet.u) && y_i.same_shape(triplet.v),
-               "secure_mul: triplet shape does not match operands");
-  auto& prof = profile::Profiler::global();
-  const auto& o = ctx.options();
-  const std::uint32_t seq = ctx.next_seq();
-  const std::uint64_t key =
-      comm_key != 0 ? comm_key : (std::uint64_t{0xE100} << 32) | seq;
+  const Reconstructed ef = reconstruct_ef(ctx, x_i, y_i, triplet, comm_key,
+                                          /*key_space=*/0xE100);
 
-  MatrixF e_i, f_i;
-  {
-    profile::ScopedPhase sp(prof, "online.compute1");
-    if (o.cpu_parallel) {
-      tensor::sub_par(x_i, triplet.u, e_i);
-      tensor::sub_par(y_i, triplet.v, f_i);
-    } else {
-      tensor::sub(x_i, triplet.u, e_i);
-      tensor::sub(y_i, triplet.v, f_i);
-    }
-  }
-
-  MatrixF e, f;
-  {
-    profile::ScopedPhase sp(prof, "online.communicate");
-    const net::Tag te = tags::kExchangeE + (seq & 0x00ffffffu);
-    auto [e_peer, f_peer] = exchange_pair(ctx, te, key ^ 0x1, e_i, key ^ 0x2, f_i);
-    tensor::add(e_i, e_peer, e);
-    tensor::add(f_i, f_peer, f);
-  }
-
-  profile::ScopedPhase sp(prof, "online.compute2");
+  profile::ScopedPhase sp(profile::Profiler::global(), "online.compute2");
   // C_i = (-i) E.*F + X_i.*F + E.*Y_i + Z_i — elementwise, always CPU: the
   // arithmetic intensity (1 flop per 3 loads) never amortizes a PCIe round
   // trip, matching the paper's choice to keep light steps off the GPU.
   MatrixF c(x_i.rows(), x_i.cols());
   const float neg_i = -static_cast<float>(ctx.id());
-  const float* pe = e.data();
-  const float* pf = f.data();
+  const float* pe = ef.e.data();
+  const float* pf = ef.f.data();
   const float* px = x_i.data();
   const float* py = y_i.data();
   const float* pz = triplet.z.data();

@@ -112,26 +112,27 @@ PayloadKind peek_kind(const std::uint8_t* data, std::size_t size) {
 
 MatrixF decode_matrix_f32(const std::uint8_t* data, std::size_t size) {
   const MatrixHeader h = read_header(data, size);
-  const std::uint8_t* body = data + sizeof(MatrixHeader);
-  const std::size_t body_size = size - sizeof(MatrixHeader);
-  switch (static_cast<PayloadKind>(h.kind)) {
-    case PayloadKind::kDenseF32: {
-      check_dense_body<float>(h, body_size,
-                              "matrix decode: dense payload size mismatch");
-      MatrixF m(h.rows, h.cols);
-      std::memcpy(m.data(), body, body_size);
-      return m;
-    }
-    case PayloadKind::kCsrF32: {
-      auto csr = psml::sparse::Csr::deserialize(body, body_size);
-      if (csr.rows() != h.rows || csr.cols() != h.cols) {
-        throw ProtocolError("matrix decode: CSR header/dims mismatch");
-      }
-      return csr.to_dense();
-    }
-    default:
-      throw ProtocolError("matrix decode: expected f32 payload");
+  if (static_cast<PayloadKind>(h.kind) != PayloadKind::kDenseF32) {
+    throw ProtocolError("matrix decode: expected dense f32 payload");
   }
+  check_dense_body<float>(h, size - sizeof(MatrixHeader),
+                          "matrix decode: dense payload size mismatch");
+  MatrixF m(h.rows, h.cols);
+  std::memcpy(m.data(), data + sizeof(MatrixHeader), m.bytes());
+  return m;
+}
+
+psml::sparse::Csr decode_csr(const std::uint8_t* data, std::size_t size) {
+  const MatrixHeader h = read_header(data, size);
+  if (static_cast<PayloadKind>(h.kind) != PayloadKind::kCsrF32) {
+    throw ProtocolError("matrix decode: expected CSR payload");
+  }
+  auto csr = psml::sparse::Csr::deserialize(data + sizeof(MatrixHeader),
+                                            size - sizeof(MatrixHeader));
+  if (csr.rows() != h.rows || csr.cols() != h.cols) {
+    throw ProtocolError("matrix decode: CSR header/dims mismatch");
+  }
+  return csr;
 }
 
 MatrixU64 decode_matrix_u64(const std::uint8_t* data, std::size_t size) {
@@ -156,10 +157,6 @@ void send_matrix(Channel& ch, Tag tag, const MatrixU64& m) {
   WireBuf buf;
   encode_matrix_into(m, buf);
   ch.send(tag, std::move(buf));
-}
-
-void send_csr(Channel& ch, Tag tag, const psml::sparse::Csr& m) {
-  ch.send(tag, encode_csr(m));
 }
 
 MatrixF recv_matrix_f32(Channel& ch, Tag tag) {

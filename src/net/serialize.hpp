@@ -41,16 +41,20 @@ std::size_t encoded_matrix_bytes(const MatrixF& m);
 std::size_t encoded_matrix_bytes(const MatrixU64& m);
 std::size_t encoded_csr_bytes(const psml::sparse::Csr& m);
 
-// Decodes either a dense or CSR float payload into a dense matrix.
+// Dense decoders: rows x cols is checked against the body size before the
+// matrix is allocated. A CSR payload is not accepted here, because its
+// header's dims do not bound its size; decode it with decode_csr.
 MatrixF decode_matrix_f32(const std::uint8_t* data, std::size_t size);
 MatrixU64 decode_matrix_u64(const std::uint8_t* data, std::size_t size);
+// Decodes a CSR payload. Its storage is sized by the payload bytes, never by
+// rows x cols, so the caller checks the dims before it densifies anything.
+psml::sparse::Csr decode_csr(const std::uint8_t* data, std::size_t size);
 // Returns the payload kind without decoding.
 PayloadKind peek_kind(const std::uint8_t* data, std::size_t size);
 
 // Channel helpers.
 void send_matrix(Channel& ch, Tag tag, const MatrixF& m);
 void send_matrix(Channel& ch, Tag tag, const MatrixU64& m);
-void send_csr(Channel& ch, Tag tag, const psml::sparse::Csr& m);
 MatrixF recv_matrix_f32(Channel& ch, Tag tag);
 MatrixU64 recv_matrix_u64(Channel& ch, Tag tag);
 

@@ -2,10 +2,12 @@
 // threshold, byte accounting, baselines, and failure injection.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 
 #include "compress/compressed_channel.hpp"
 #include "net/local_channel.hpp"
+#include "net/serialize.hpp"
 #include "tensor/ops.hpp"
 #include "test_util.hpp"
 
@@ -170,6 +172,41 @@ TEST(Compress, DeltaWithoutBaselineThrows) {
   }
   sender.send(1, 9, m1);  // compressed (identical)
   EXPECT_THROW(thrower.recv(1, 9), ProtocolError);
+}
+
+TEST(Compress, ForgedCsrDeltaThrowsBeforeAllocating) {
+  // A 32-byte CSR delta claiming rows=1, cols=2^32-1 against a 4x4 baseline:
+  // densifying it would take 16 GiB, so the receiver must reject its dims
+  // against the baseline before anything is allocated.
+  auto chans = net::LocalChannel::make_pair();
+  Endpoint sender(*chans.a);
+  Endpoint receiver(*chans.b);
+  const MatrixF m = random_matrix(4, 4, 63);
+  sender.send(1, 9, m);
+  expect_near(receiver.recv(1, 9), m, 0.0, "baseline");
+
+  // [subkind 1 = CSR delta] + 12-byte matrix header {kind, pad, rows, cols}
+  // + CSR body {rows, cols, nnz = 0, row_ptr = {0, 0}}.
+  const std::uint32_t rows = 1, cols = 0xFFFFFFFFu;
+  const std::uint32_t words[] = {rows, cols, rows, cols, 0, 0, 0};
+  std::vector<std::uint8_t> frame(1 + 4 + sizeof(words), 0);
+  frame[0] = 1;
+  frame[1] = static_cast<std::uint8_t>(net::PayloadKind::kCsrF32);
+  std::memcpy(frame.data() + 5, words, sizeof(words));
+  ASSERT_EQ(frame.size() - 1, 32u);
+  chans.a->send(2, frame);
+  try {
+    (void)receiver.recv(2, 9);
+    ADD_FAILURE() << "forged delta accepted";
+  } catch (const ProtocolError& e) {
+    // Well-formed CSR, so it is the dims check against the baseline that
+    // rejects it.
+    EXPECT_NE(std::string(e.what()).find("shape drifted"), std::string::npos)
+        << e.what();
+  }
+  // The baseline is untouched: the next identical send still reconstructs.
+  sender.send(3, 9, m);
+  expect_near(receiver.recv(3, 9), m, 0.0, "after the forged delta");
 }
 
 TEST(Compress, ConcurrentBidirectionalTraffic) {

@@ -128,14 +128,19 @@ TEST(Serialize, MatrixU64RoundTrip) {
   EXPECT_TRUE(m == back);
 }
 
-TEST(Serialize, CsrPayloadDecodesToDense) {
+TEST(Serialize, CsrPayloadToDenseDecoderThrows) {
+  // A CSR header's dims do not bound its payload, so the dense decoder
+  // refuses it; decode_csr returns the sparse form unexpanded.
   MatrixF m(6, 6, 0.0f);
   m(1, 2) = 3.5f;
   m(4, 0) = -1.0f;
   const auto csr = sparse::Csr::from_dense(m);
   const auto buf = encode_csr(csr);
   EXPECT_EQ(peek_kind(buf.data(), buf.size()), PayloadKind::kCsrF32);
-  expect_near(decode_matrix_f32(buf.data(), buf.size()), m, 0.0, "csr");
+  EXPECT_THROW(decode_matrix_f32(buf.data(), buf.size()), ProtocolError);
+  EXPECT_EQ(decode_csr(buf.data(), buf.size()), csr);
+  const auto dense = encode_matrix(m);
+  EXPECT_THROW(decode_csr(dense.data(), dense.size()), ProtocolError);
 }
 
 TEST(Serialize, MalformedPayloadThrows) {
